@@ -1,24 +1,31 @@
 """Moment functions of i.i.d. symbol draws and their certificates.
 
 f(params, P) is the expected ell-plurality of L i.i.d. draws from P over
-{1,...,q}; g restricts f to the two-block sliced family P_w that spreads
-mass w uniformly over the first q-ell symbols and 1-w over the last ell.
-Gradient, Hessian and g'' come from composition closed forms (one degree
-down per derivative), never from finite differences; the numerical
-certificates (Schur, convexity, monotonicity) only ever evaluate those
-closed forms on grids or sampled distributions.
+{1,...,q}; its gradient and Hessian come from composition closed forms (one
+degree down per derivative), never from finite differences.
+
+g restricts f to the two-block sliced family P_w that spreads mass w
+uniformly over the first q-ell symbols and 1-w over the last ell.  g depends
+on w only through how many draws land on each block, so it is a degree-L
+polynomial fixed by L+1 exact integers c_s (s draws on the tail block).  g,
+g', g'', p* and the Lipschitz constant all derive from that one vector:
+its Bernstein coefficients and their forward differences are taken exactly
+as Fractions and turned into floats once.  The numerical certificates
+(Schur, convexity, monotonicity) evaluate these closed forms on grids or
+sampled distributions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
-from .compositions import composition_table, max_ell_partial_sum
+from .compositions import composition_table, enumerate_compositions, max_ell_partial_sum, multinomial
 from .params import Params
 
 __all__ = [
@@ -196,19 +203,95 @@ def _block_vector(q: int, ell: int) -> np.ndarray:
     return v
 
 
-def g(params: Params, w: float) -> float:
-    """f along the sliced family; g(0) = L, g(w*) = f(uniform)."""
+@lru_cache(maxsize=None)
+def _tail_mass_coefficients(q: int, ell: int, L: int) -> tuple[int, ...]:
+    """Exact c_s = sum of C(L,a) * top_ell(a) over a in A_{q,L} with tail mass s.
+
+    The tail mass s(a) is the number of draws on the last ell symbols, so
+    g(w) = sum_s c_s (w/(q-ell))^(L-s) ((1-w)/ell)^s and sum_s c_s / q^L = f(uniform).
+    """
+    c = [0] * (L + 1)
+    for a in enumerate_compositions(q, L):
+        c[sum(a.entries[q - ell :])] += multinomial(L, a) * max_ell_partial_sum(a, ell)
+    return tuple(c)
+
+
+@lru_cache(maxsize=None)
+def _slice_bernstein(q: int, ell: int, L: int, order: int) -> np.ndarray:
+    """Bernstein coefficients of the order-th derivative of g, degree L - order.
+
+    beta_k = c_{L-k} / (C(L,k) (q-ell)^k ell^(L-k)) is the mean of top_ell
+    given k draws on the head block, so 0 <= beta_k <= L.  Each derivative
+    is a forward difference times the degree; both are exact, and only the
+    bounded result is rounded to float.
+    """
+    c = _tail_mass_coefficients(q, ell, L)
+    beta = [
+        Fraction(c[L - k], math.comb(L, k) * (q - ell) ** k * ell ** (L - k))
+        for k in range(L + 1)
+    ]
+    for _ in range(order):
+        beta = [b - a for a, b in zip(beta, beta[1:])]
+    scale = math.perm(L, order)
+    coef = np.array([float(scale * b) for b in beta], dtype=np.float64)
+    coef.flags.writeable = False
+    return coef
+
+
+@lru_cache(maxsize=None)
+def _log_binomials(n: int) -> np.ndarray:
+    out = np.array([math.log(math.comb(n, k)) for k in range(n + 1)], dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+_BERNSTEIN_BLOCK = 1 << 16  # array elements per chunk of w in _bernstein_sum
+
+
+def _bernstein_sum(coef: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """sum_k coef_k C(n,k) w^k (1-w)^(n-k) at every w, n = len(coef) - 1.
+
+    The basis is formed in the log domain, so neither C(n,k) nor w^k
+    overflows or underflows for n in the thousands; w is taken in chunks so
+    that no (len(ws), n+1) array is built for large n.
+    """
+    n = len(coef) - 1
+    k = np.arange(n + 1)
+    log_binom = _log_binomials(n)
+    out = np.empty(len(ws), dtype=np.float64)
+    step = max(1, _BERNSTEIN_BLOCK // (n + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at w = 0 or 1
+        for i in range(0, len(ws), step):
+            w = ws[i : i + step, np.newaxis]
+            head = k * np.log(w)
+            tail = (n - k) * np.log1p(-w)
+            head[:, 0] = 0.0  # w^0 = 1, also at w = 0
+            tail[:, n] = 0.0
+            out[i : i + step] = np.exp(log_binom + head + tail) @ coef
+    return out
+
+
+def _slice_values(params: Params, order: int, ws: Sequence[float]) -> np.ndarray:
+    """g (order 0), g' (1) or g'' (2) at every w of ws."""
+    coef = _slice_bernstein(params.q, params.ell, params.L, order)
+    return _bernstein_sum(coef, np.asarray(ws, dtype=np.float64))
+
+
+def _check_w(w: float) -> None:
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"need w in [0,1], got {w}")
-    return f(params, np.array(_sliced_probs(params.q, params.ell, w)))
+
+
+def g(params: Params, w: float) -> float:
+    """f along the sliced family; g(0) = L, g(w*) = f(uniform)."""
+    _check_w(w)
+    return float(_slice_values(params, 0, [w])[0])
 
 
 def g_prime(params: Params, w: float) -> float:
-    """Chain rule along the slice: <grad f(P_w), dP_w/dw>."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"need w in [0,1], got {w}")
-    grad = f_gradient(params, np.array(_sliced_probs(params.q, params.ell, w)))
-    return float(grad @ _block_vector(params.q, params.ell))
+    """First derivative of g; equals <grad f(P_w), dP_w/dw>."""
+    _check_w(w)
+    return float(_slice_values(params, 1, [w])[0])
 
 
 def G_ell(params: Params, a: Sequence[int]) -> float:
@@ -235,34 +318,14 @@ def G_ell(params: Params, a: Sequence[int]) -> float:
     return float(v @ M @ v)
 
 
-@lru_cache(maxsize=None)
-def _g_second_table(q: int, ell: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-composition pieces of g'': tail sums s(a), coefficients, G values."""
-    tbl = composition_table(q, L - 2, ell)
-    plus2 = _hessian_table(q, ell, L)
-    v = _block_vector(q, ell)
-    tails = tbl.counts[:, q - ell :].sum(axis=1).astype(np.int64)
-    gvals = np.einsum("i,kij,j->k", v, plus2, v)
-    heads = (L - 2 - tails).astype(np.int64)
-    for arr in (tails, heads, gvals):
-        arr.flags.writeable = False
-    return heads, tails, tbl.multinomials * gvals
-
-
 def g_second(params: Params, w: float) -> float:
-    """Closed-form second derivative of g.
+    """Second derivative of g.
 
-    g''(w) = L(L-1) sum_a C(L-2,a) (w/(q-ell))^{L-2-s(a)} ((1-w)/ell)^{s(a)} G_ell(a)
-    with s(a) the mass of a on the tail block.  Matches v^T Hess f(P_w) v.
+    g''(w) = L(L-1) sum_k (beta_{k+2} - 2 beta_{k+1} + beta_k) C(L-2,k) w^k (1-w)^(L-2-k)
+    with beta_k the Bernstein coefficients of g.  Matches v^T Hess f(P_w) v.
     """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"need w in [0,1], got {w}")
-    q, ell, L = params.q, params.ell, params.L
-    heads, tails, coef = _g_second_table(q, ell, L)
-    head_base = w / (q - ell)
-    tail_base = (1.0 - w) / ell
-    terms = coef * head_base**heads * tail_base**tails
-    return float(L * (L - 1) * terms.sum())
+    _check_w(w)
+    return float(_slice_values(params, 2, [w])[0])
 
 
 def schur_ostrowski_value(params: Params, dist: DistLike, i: int, j: int) -> float:
@@ -362,7 +425,7 @@ def certify_convexity(
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bad interval [{lo}, {hi}]")
     ws = np.linspace(lo, hi, grid_points)
-    vals = np.array([g_second(params, w) for w in ws])
+    vals = _slice_values(params, 2, ws)
     k = int(vals.argmin())
     violations = int((vals < -tolerance).sum())
     return ConvexityCertificate(
@@ -395,7 +458,7 @@ def certify_monotonicity_g(
         raise ValueError(f"need grid_points >= 3, got {grid_points}")
     wstar = params.w_star
     ws = np.unique(np.append(np.linspace(0.0, 1.0, grid_points), wstar))
-    vals = np.array([g(params, w) for w in ws])
+    vals = _slice_values(params, 0, ws)
     diffs = np.diff(vals)
     left = ws[1:] <= wstar + 1e-15
     right = ws[:-1] >= wstar - 1e-15
@@ -409,7 +472,7 @@ def _lipschitz_cached(q: int, ell: int, L: int, grid_points: int) -> float:
     params = Params(q, ell, L)
     _, hi = default_interval(params)
     ws = np.linspace(0.0, hi, grid_points)
-    return max(abs(g_prime(params, w)) for w in ws)
+    return float(np.abs(_slice_values(params, 1, ws)).max())
 
 
 def lipschitz_g(params: Params, grid_points: int = 10_000) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import g, lipschitz_g
+from .analysis import _tail_mass_coefficients, g, lipschitz_g
 from .compositions import composition_table, enumerate_compositions, max_ell_partial_sum, multinomial
 from .params import Params
 
@@ -56,22 +56,18 @@ LAMBDA_RESIDUAL = 1e-10
 
 
 @lru_cache(maxsize=None)
-def _threshold_numerator(q: int, ell: int, L: int) -> int:
-    """Exact integer sum of C(L,a) * (L - top_ell(a)) over A_{q,L}."""
-    total = 0
-    for a in enumerate_compositions(q, L):
-        total += multinomial(L, a) * (L - max_ell_partial_sum(a, ell))
-    return total
+def _threshold(q: int, ell: int, L: int) -> float:
+    total = L * q**L
+    return (total - sum(_tail_mass_coefficients(q, ell, L))) / total
 
 
 def zero_rate_threshold(params: Params) -> float:
     """p*(q, ell, L) = 1 - E[plurality_ell] / L under the uniform law.
 
-    Computed as an exact integer ratio S / (L * q^L) before the single
-    float division.
+    Computed as an exact integer ratio S / (L * q^L), S = L q^L - sum_s c_s
+    with c the tail-mass coefficients of g, before the single float division.
     """
-    s = _threshold_numerator(params.q, params.ell, params.L)
-    return s / (params.L * params.q**params.L)
+    return _threshold(params.q, params.ell, params.L)
 
 
 def p_star_w(params: Params, w: float) -> float:

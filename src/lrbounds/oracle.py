@@ -238,7 +238,7 @@ def estimate_threshold_mc(params: Params, samples: int = 10**6, seed: int = 1) -
         raise ValueError("alphabet too large for the int8 fast path")
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, q, size=(samples, L), dtype=np.int8)
-    counts = np.zeros((samples, q), dtype=np.int8)
+    counts = np.zeros((samples, q), dtype=np.min_scalar_type(L))  # a count reaches L
     rows = np.arange(samples)
     for j in range(L):
         counts[rows, draws[:, j]] += 1

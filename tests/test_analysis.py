@@ -149,7 +149,7 @@ def test_euler_identity(params):
     assert lhs == pytest.approx(params.L * f(params, p), rel=1e-12)
 
 
-@pytest.mark.parametrize("params", SMALL_PARAMS)
+@pytest.mark.parametrize("params", SMALL_PARAMS + [Params(8, 2, 10), Params(2, 1, 300)])
 def test_g_is_f_on_the_slice(params):
     for w in (0.0, 0.17, params.w_star, 0.83, 1.0):
         sliced = SlicedDistribution(params.q, params.ell, w).distribution()
@@ -174,7 +174,7 @@ def test_g_second_matches_finite_differences(params):
         assert got == pytest.approx(want, abs=max(1e-5, 1e-3 * abs(got)))
 
 
-@pytest.mark.parametrize("params", SMALL_PARAMS)
+@pytest.mark.parametrize("params", SMALL_PARAMS + [Params(8, 2, 10)])
 def test_g_second_is_quadratic_form_in_hessian(params):
     # g'' = v^T (Hess f) v along the slicing direction
     q, ell = params.q, params.ell
@@ -243,6 +243,16 @@ def test_convexity_fails_where_G_ell_goes_negative():
     assert c.violations > 0
     assert c.min_value < -1e-9
     assert g_second(Params(3, 2, 3), 1.0) == pytest.approx(-3.0)
+
+
+def test_g_second_negative_at_zero_for_7_3_4():
+    # beta_k is the mean of top_3 when k of the 4 draws land on the 4 head
+    # symbols and 4-k on the 3 tail symbols; top_3 is 3 when all four draws
+    # differ and 4 otherwise.  beta_0 = 4; beta_1 = 4 - 6/27 = 34/9 (three
+    # distinct tail draws); beta_2 = 4 - (3/4)(2/3) = 7/2 (both pairs
+    # distinct).  g''(0) = L(L-1)(beta_2 - 2 beta_1 + beta_0)
+    # = 12 (7/2 - 68/9 + 4) = -2/3.
+    assert g_second(Params(7, 3, 4), 0.0) == pytest.approx(-2 / 3, abs=1e-12)
 
 
 def test_convexity_may_fail_beyond_w_star_for_ell_1():

@@ -76,6 +76,24 @@ def test_p_star_w_endpoints():
         )
 
 
+def test_large_L_threshold_matches_exact_binomial_sum():
+    # for q = 2, ell = 1 the plurality of k ones among L draws is max(k, L-k)
+    params = Params(2, 1, 1100)
+    L = params.L
+    top = Fraction(sum(math.comb(L, k) * max(k, L - k) for k in range(L + 1)), L * 2**L)
+    want = float(1 - top)
+    assert zero_rate_threshold(params) == pytest.approx(want, abs=1e-12)
+    assert p_star_w(params, params.w_star) == pytest.approx(want, abs=1e-12)
+
+
+def test_large_L_upper_bound_is_a_rate():
+    params = Params(2, 1, 1100)
+    pstar = zero_rate_threshold(params)
+    rates = [eb_upper_bound_rate(params, pstar * k / 6) for k in range(6)]
+    assert all(math.isfinite(r) and 0.0 <= r <= 1.0 for r in rates)
+    assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
 def test_entropy_values():
     # H(w*) = 1, H(0) = log_q(ell)
     for params in SMALL_PARAMS:

@@ -8,9 +8,14 @@ from lrbounds import Code
 from lrbounds.cli import read_code_file, write_code_file
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
     env.pop("LRB_THREADS", None)
+    # the child imports lrbounds from this checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -39,6 +44,13 @@ def test_threshold_known_values():
         assert res.returncode == 0
         assert res.stdout == want
         assert b"consistency=PASS" in res.stderr
+
+
+def test_threshold_large_L():
+    # C(1100, 550) overflows a float; p* and p_star_w(w*) must not
+    res = run_cli("threshold", "--q", "2", "--ell", "1", "--L", "1100")
+    assert res.returncode == 0
+    assert b"consistency=PASS" in res.stderr
 
 
 def test_threshold_invalid_params_exit_2():

@@ -174,6 +174,13 @@ def test_mc_threshold_matches_closed_form():
         assert abs(mean - zero_rate_threshold(params)) <= 5 * se
 
 
+def test_mc_threshold_counts_do_not_wrap_for_large_L():
+    # a symbol count reaches L = 300, beyond int8
+    params = Params(2, 1, 300)
+    mean, se = estimate_threshold_mc(params, samples=2000, seed=1)
+    assert abs(mean - zero_rate_threshold(params)) <= 6 * se
+
+
 def test_mc_threshold_deterministic():
     params = Params(3, 1, 3)
     a = estimate_threshold_mc(params, samples=50000, seed=11)
