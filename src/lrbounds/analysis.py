@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence, Union
 
 import numpy as np
@@ -125,8 +126,8 @@ def _prob_vector(q: int, dist: DistLike) -> np.ndarray:
 
 
 def _power_products(p: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    # 0.0 ** 0.0 == 1.0 under numpy, which is the convention needed here
-    return np.prod(p[np.newaxis, :] ** exponents, axis=1)
+    # p is one vector or a stack of rows; 0.0 ** 0.0 == 1.0 under numpy, as needed here
+    return np.prod(p[..., np.newaxis, :] ** exponents, axis=-1)
 
 
 def f(params: Params, dist: DistLike) -> float:
@@ -152,14 +153,26 @@ def _gradient_table(q: int, ell: int, L: int) -> np.ndarray:
     return plus
 
 
-def f_gradient(params: Params, dist: DistLike) -> np.ndarray:
-    """Gradient of f in P, via the degree-(L-1) closed form."""
+def _gradients(params: Params, ps: np.ndarray) -> np.ndarray:
+    """Gradient of f at every row of ps.
+
+    Rows go in chunks whose power products fit in _BERNSTEIN_BLOCK elements;
+    each row is contracted alone, so its bits do not depend on the batch.
+    """
     q, ell, L = params.q, params.ell, params.L
     tbl = composition_table(q, L - 1, ell)
     plus = _gradient_table(q, ell, L)
-    p = _prob_vector(q, dist)
-    weights = tbl.multinomials * _power_products(p, tbl.exponents)
-    return L * (weights @ plus)
+    out = np.empty((len(ps), q), dtype=np.float64)
+    step = max(1, _BERNSTEIN_BLOCK // tbl.exponents.size)
+    for i in range(0, len(ps), step):
+        weights = tbl.multinomials * _power_products(ps[i : i + step], tbl.exponents)
+        out[i : i + step] = [L * (w @ plus) for w in weights]
+    return out
+
+
+def f_gradient(params: Params, dist: DistLike) -> np.ndarray:
+    """Gradient of f in P, via the degree-(L-1) closed form."""
+    return _gradients(params, _prob_vector(params.q, dist)[np.newaxis, :])[0]
 
 
 @lru_cache(maxsize=None)
@@ -367,17 +380,15 @@ def certify_schur(
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     q = params.q
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(samples):
-        e = rng.standard_exponential(q)
-        p = e / e.sum()
-        grad = f_gradient(params, p)
-        dp = p[:, None] - p[None, :]
-        dg = grad[:, None] - grad[None, :]
-        vals = dp * dg
-        vals[np.diag_indices(q)] = np.inf
-        worst = min(worst, float(vals.min()))
+    # one draw of shape (samples, q) is the same stream as samples draws of q
+    e = np.random.default_rng(seed).standard_exponential((samples, q))
+    ps = e / e.sum(axis=1, keepdims=True)
+    grads = _gradients(params, ps)
+    # the product is symmetric in (i, j), so pairs i < j cover every value
+    worst = min(
+        float(((ps[:, i] - ps[:, j]) * (grads[:, i] - grads[:, j])).min())
+        for i, j in combinations(range(q), 2)
+    )
     return SchurCertificate(params, samples, seed, worst, tolerance)
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .analysis import _tail_mass_coefficients, g, lipschitz_g
-from .compositions import composition_table, enumerate_compositions, max_ell_partial_sum, multinomial
+from .analysis import g, lipschitz_g
+from .compositions import _orbits
 from .params import Params
 
 __all__ = [
@@ -56,16 +56,34 @@ LAMBDA_RESIDUAL = 1e-10
 
 
 @lru_cache(maxsize=None)
+def _radius_law(q: int, ell: int, L: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Exact N_t = #{x in [q]^L with top_ell t}, the law of the radius rho = 1 - t/L.
+
+    Returns N and, on its support, rho_t and log P(rho_t) = log N_t - L log q.
+    """
+    N = [0] * (L + 1)
+    for a, n in _orbits(q, L):
+        N[sum(a[:ell])] += n
+    ts = [t for t, n in enumerate(N) if n]
+    rho = 1.0 - np.array(ts, dtype=np.float64) / L
+    log_p = np.array([math.log(N[t]) for t in ts]) - L * math.log(q)
+    for arr in (rho, log_p):
+        arr.flags.writeable = False
+    return tuple(N), rho, log_p
+
+
+@lru_cache(maxsize=None)
 def _threshold(q: int, ell: int, L: int) -> float:
     total = L * q**L
-    return (total - sum(_tail_mass_coefficients(q, ell, L))) / total
+    return (total - sum(t * n for t, n in enumerate(_radius_law(q, ell, L)[0]))) / total
 
 
 def zero_rate_threshold(params: Params) -> float:
     """p*(q, ell, L) = 1 - E[plurality_ell] / L under the uniform law.
 
-    Computed as an exact integer ratio S / (L * q^L), S = L q^L - sum_s c_s
-    with c the tail-mass coefficients of g, before the single float division.
+    Computed as an exact integer ratio S / (L * q^L), S = L q^L - sum_t t N_t
+    with N the radius law (the same integer as sum_s c_s behind g), before
+    the single float division.
     """
     return _threshold(params.q, params.ell, params.L)
 
@@ -105,47 +123,31 @@ def entropy_q_ell(params: Params, w: float) -> float:
 # --- tilted average-radius law and the lower bound ------------------------
 
 
-@lru_cache(maxsize=None)
-def _radius_law(q: int, ell: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values rho(a) = 1 - top_ell(a)/L and multinomial weights over A_{q,L}."""
-    tbl = composition_table(q, L, ell)
-    rho = 1.0 - tbl.top_ell / L
-    rho.flags.writeable = False
-    return rho, tbl.multinomials
+def _tilt(params: Params, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """rho_t, weights proportional to P(rho_t) q^(-lam rho_t), and log E[q^(-lam rho)]."""
+    if lam < 0.0:
+        raise ValueError(f"need lam >= 0, got {lam}")
+    _, rho, log_p = _radius_law(params.q, params.ell, params.L)
+    x = log_p - lam * rho * math.log(params.q)
+    m = float(x.max())
+    tw = np.exp(x - m)
+    return rho, tw, m + math.log(float(tw.sum()))
 
 
 def mgf(params: Params, lam: float) -> float:
-    """E[q^(-lam * rho)] under the uniform tuple law, computed stably."""
-    if lam < 0.0:
-        raise ValueError(f"need lam >= 0, got {lam}")
-    rho, weights = _radius_law(params.q, params.ell, params.L)
-    expo = -lam * rho * math.log(params.q)
-    m = float(expo.max())
-    return float(params.q) ** (-params.L) * math.exp(m) * float((weights * np.exp(expo - m)).sum())
+    """E[q^(-lam * rho)] under the uniform tuple law, by log-sum-exp."""
+    return math.exp(_tilt(params, lam)[2])
 
 
 def tilted_mean(params: Params, lam: float) -> float:
     """Mean of rho under the lam-tilted law; decreasing, equals p* at lam = 0."""
-    if lam < 0.0:
-        raise ValueError(f"need lam >= 0, got {lam}")
-    rho, weights = _radius_law(params.q, params.ell, params.L)
-    expo = -lam * rho * math.log(params.q)
-    tw = weights * np.exp(expo - expo.max())
+    rho, tw, _ = _tilt(params, lam)
     return float((tw @ rho) / tw.sum())
 
 
-@lru_cache(maxsize=None)
-def _degenerate_count(q: int, ell: int, L: int) -> int:
-    """Exact count of L-tuples whose symbols fit inside some ell-subset."""
-    total = 0
-    for a in enumerate_compositions(q, L):
-        if max_ell_partial_sum(a, ell) == L:
-            total += multinomial(L, a)
-    return total
-
-
 def _rate_at_zero(params: Params) -> float:
-    s = _degenerate_count(params.q, params.ell, params.L)
+    # N_L counts the L-tuples whose symbols fit inside some ell-subset
+    s = _radius_law(params.q, params.ell, params.L)[0][params.L]
     return (params.L - math.log(s) / math.log(params.q)) / (params.L - 1)
 
 
@@ -197,7 +199,7 @@ def solve_lambda_star(params: Params, p: float) -> FixedPointResult:
             f"lambda* bisection stalled at residual {residual:.3e} for p={p}"
         )
     lnq = math.log(params.q)
-    exponent = -lam * p - math.log(mgf(params, lam)) / lnq
+    exponent = -lam * p - _tilt(params, lam)[2] / lnq
     rate = max(0.0, exponent / (params.L - 1))
     return FixedPointResult(lam, rate, iterations, residual)
 
@@ -263,9 +265,18 @@ def plotkin_constants(params: Params, tau: float, eps1: float) -> PlotkinConstan
     cap = L * tau / (8.0 * lip)
     if not 0.0 < eps1 <= cap * (1.0 + 1e-12):
         raise ValueError(f"need 0 < eps1 <= L*tau/(8*lip) = {cap}, got {eps1}")
-    log10_c = q**L * math.log10(6400.0 * L**6 * float(q) ** (4 * L - 2) / (2.0 * tau**2) + 1.0)
+    # log10_c = q^L log10(x + 1), x = 6400 L^6 q^(4L-2) / (2 tau^2), and
+    # m0_a = 2^11 L^7 q^(2L) / tau^2 + L - 2, both formed from their logs
+    log10_x = math.log10(6400.0 * L**6 / (2.0 * tau**2)) + (4 * L - 2) * math.log10(q)
+    ln_c = L * math.log(q) + math.log(log10_x + math.log10(1.0 + 10.0**-log10_x))
+    field = "log10_c"
+    try:  # math.exp raises OverflowError rather than return inf
+        log10_c = math.exp(ln_c)
+        field = "m0"
+        m0_a = math.exp(math.log(2.0**11 * L**7 / tau**2) + 2 * L * math.log(q)) + L - 2
+    except OverflowError:
+        raise ValueError(f"{field} is not representable as a float") from None
     pstar = zero_rate_threshold(params)
-    m0_a = 2.0**11 * L**7 * float(q) ** (2 * L) / tau**2 + L - 2
     m0_b = (L - 1) * L * (pstar / ((1.0 / L) * lip * eps1) + 2.0) + 1.0
     return PlotkinConstants(tau, eps1, lip, log10_c, max(m0_a, m0_b))
 
@@ -379,58 +390,30 @@ def comparison_gmrsw(p: float) -> float:
     return 0.5 * (2.0 - entropy_q(2, 3.0 * p) - 3.0 * p * math.log2(3.0))
 
 
-def _eta_terms(xs: list[np.ndarray], lnq: float) -> np.ndarray:
-    rest = 1.0
-    out = 0.0
-    for x in xs:
-        rest = rest - x
-        out = out - np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
-    rest = np.clip(rest, 0.0, None)
-    out = out - np.where(rest > 0.0, rest * np.log(np.where(rest > 0.0, rest, 1.0)), 0.0)
-    return out / lnq
+def _divergence_to_cap(u1: float, u2: float, cap: float) -> float:
+    """min D(x || pi) in nats over {x1, x2 >= 0, x1 + 2 x2 <= cap, x1 + x2 <= 1}.
 
-
-def _grid_refine_min(
-    objective: Callable[[np.ndarray, np.ndarray], np.ndarray], cap: float
-) -> float:
-    """Minimize over {x1, x2 >= 0, x1 + 2 x2 <= cap, x1 + x2 <= 1}.
-
-    Coarse 1e-3 grid, then four local refinements down to 1e-7 around the
-    incumbent.
+    pi = (1, u1, u2)/(1 + u1 + u2) on weights 0, 1, 2, x0 = 1 - x1 - x2.  The
+    minimiser is the Gibbs tilt x_i ~ pi_i t^i: t = 1 if pi meets the cap,
+    else the positive root of (2 - cap) u2 t^2 + (1 - cap) u1 t - cap = 0,
+    with divergence cap ln t - ln Z(t), Z(t) = sum_i pi_i t^i.
     """
-    if cap < 0.0:
-        raise ValueError(f"need a non-negative cap, got {cap}")
-
-    def scan(x1_lo, x1_hi, x2_lo, x2_hi, step):
-        x1 = np.arange(x1_lo, x1_hi + step / 2, step)
-        x2 = np.arange(x2_lo, x2_hi + step / 2, step)
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        feasible = (X1 + 2.0 * X2 <= cap + 1e-12) & (X1 + X2 <= 1.0 + 1e-12)
-        vals = np.where(feasible, objective(X1, X2), np.inf)
-        k = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        return float(vals[k]), float(X1[k]), float(X2[k])
-
-    step = 1e-3
-    best, b1, b2 = scan(0.0, min(1.0, cap), 0.0, min(1.0, cap / 2.0), step)
-    for _ in range(4):
-        lo1, hi1 = max(0.0, b1 - 2 * step), min(min(1.0, cap), b1 + 2 * step)
-        lo2, hi2 = max(0.0, b2 - 2 * step), min(min(1.0, cap / 2.0), b2 + 2 * step)
-        step /= 10.0
-        val, b1, b2 = scan(lo1, hi1, lo2, hi2, step)
-        best = min(best, val)
-    return best
+    if cap * (1.0 + u1 + u2) >= u1 + 2.0 * u2:
+        return 0.0
+    if cap == 0.0:
+        return math.log1p(u1 + u2)  # x = 0: the t -> 0 limit
+    a, b = (2.0 - cap) * u2, (1.0 - cap) * u1
+    root = math.sqrt(b * b + 4.0 * a * cap)
+    t = 2.0 * cap / (b + root) if b >= 0.0 else (root - b) / (2.0 * a)
+    return max(0.0, cap * math.log(t) - math.log((1.0 + t * (u1 + t * u2)) / (1.0 + u1 + u2)))
 
 
 def comparison_ry_binary4(p: float) -> float:
     """Binary (ell=1, L=4) curve: (1/3) min over the two-weight relaxation."""
     if p < 0.0:
         raise ValueError(f"need p >= 0, got {p}")
-    ln2 = math.log(2.0)
-
-    def obj(x1, x2):
-        return 3.0 - _eta_terms([x1, x2], ln2) - 2.0 * x1 - x2 * math.log2(3.0)
-
-    return _grid_refine_min(obj, 4.0 * p) / 3.0
+    # 3 - eta_2(x) - 2 x1 - log2(3) x2 = D(x || (1, 4, 3)/8) / ln 2
+    return _divergence_to_cap(4.0, 3.0, 4.0 * p) / (3.0 * math.log(2.0))
 
 
 def comparison_ry_qary3(q: int, p: float) -> float:
@@ -439,14 +422,9 @@ def comparison_ry_qary3(q: int, p: float) -> float:
         raise ValueError(f"need q >= 3, got {q}")
     if p < 0.0:
         raise ValueError(f"need p >= 0, got {p}")
-    lnq = math.log(q)
-    c1 = math.log(3.0 * (q - 1)) / lnq
-    c2 = math.log((q - 1) * (q - 2)) / lnq
-
-    def obj(x1, x2):
-        return 2.0 - _eta_terms([x1, x2], lnq) - c1 * x1 - c2 * x2
-
-    return _grid_refine_min(obj, 3.0 * p) / 2.0
+    # 2 - eta_q(x) - log_q(3(q-1)) x1 - log_q((q-1)(q-2)) x2 = D(x || (1, u1, u2)/q^2) / ln q
+    u1, u2 = 3.0 * (q - 1), float((q - 1) * (q - 2))
+    return _divergence_to_cap(u1, u2, 3.0 * p) / (2.0 * math.log(q))
 
 
 # --- emitted curves ---------------------------------------------------------

@@ -3,8 +3,8 @@
 Data goes to stdout (bare threshold value, two-column curves, key=value
 reports); diagnostics and warnings go to stderr.  Exit codes: 0 success or
 PASS, 2 invalid configuration, 3 certificate or check FAIL, 4 enumeration
-budget exceeded.  Set LRB_THREADS to parallelize curve evaluation (output
-is identical for any worker count).
+budget exceeded.  LRB_THREADS is accepted (it must be an integer) but has no
+effect: curve points cost well under a millisecond and run in one thread.
 
 Usage sketch:
     lrb threshold --q 2 --ell 1 --L 2
@@ -21,31 +21,13 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import analysis, bounds, oracle
 from .metrics import Code
 from .params import Params
 
 CURVE_KINDS = ("lower", "upper", "gmrsw", "ry-binary-4", "ry-qary-3")
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("LRB_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ValueError(f"LRB_THREADS must be an integer, got {raw!r}") from None
-    return max(1, k)
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def _params_from(args: argparse.Namespace) -> Params:
@@ -185,7 +167,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     else:
         raise ValueError(f"unknown curve kind {kind!r}")
 
-    rates = _map_ordered(fn, grid)
+    threads = os.environ.get("LRB_THREADS", "1")
+    try:  # still validated, but curves are evaluated in order in one thread
+        int(threads)
+    except ValueError:
+        raise ValueError(f"LRB_THREADS must be an integer, got {threads!r}") from None
+    rates = [fn(p) for p in grid]
     prec = args.precision
     lines = [f"{p:.{prec}f} {r:.{prec}f}" for p, r in zip(grid, rates)]
     formatted_ps = [line.split()[0] for line in lines]

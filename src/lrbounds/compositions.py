@@ -1,16 +1,18 @@
 """Exact index algebra for sums over symbol-count compositions.
 
 A composition is a length-q vector of non-negative integer counts with total
-m, an element of A_{q,m}.  Every closed-form sum downstream (moments,
-derivatives, thresholds, tilted means) runs over one of these index sets, so
-two things are pinned here: the enumeration order (lexicographic, first
-coordinate descending) and exactness (multinomial coefficients are Python
-ints, converted to float once per cached table).
+m, an element of A_{q,m}.  Every closed-form sum downstream (moments and
+derivatives; symmetric ones such as thresholds and tilted means over the
+sorted members only) runs over one of these index sets, so two things are
+pinned here: the enumeration order (lexicographic, first coordinate
+descending) and exactness (multinomial coefficients and orbit sizes are
+Python ints, turned into floats or logs once per cached table).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -158,3 +160,24 @@ def composition_table(q: int, m: int, ell: int) -> CompositionTable:
     for arr in (counts, exponents, mults, tops):
         arr.flags.writeable = False
     return CompositionTable(counts, exponents, mults, tops)
+
+
+def _orbits(q: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (a, n) for each non-increasing a in A_{q,m}, first part descending.
+
+    n = q!/prod(mult!) * m!/prod(a_i!) counts the tuples in [q]^m whose
+    symbol counts sort to a; mult runs over the multiplicities in a.  The
+    multinomial is built as a product of binomials along the recursion.
+    """
+
+    def rec(parts: int, remaining: int, cap: int, prefix: tuple[int, ...], n: int):
+        if parts == 1:
+            yield prefix + (remaining,), n
+            return
+        # head >= ceil(remaining / parts) leaves room for parts - 1 parts <= head
+        for head in range(min(remaining, cap), -(-remaining // parts) - 1, -1):
+            yield from rec(parts - 1, remaining - head, head, prefix + (head,),
+                           n * math.comb(remaining, head))
+
+    for a, n in rec(q, m, m, (), 1):
+        yield a, n * (math.factorial(q) // math.prod(map(math.factorial, Counter(a).values())))

@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 
 def ref_compositions(q, m):
     """All length-q tuples of nonnegative ints summing to m, as a set.
@@ -164,3 +166,80 @@ def simplex_point(rng, q):
     """Uniform Dirichlet(1) sample via normalized exponentials."""
     e = rng.exponential(size=q)
     return e / e.sum()
+
+
+def ref_binary_lower_rate(L, p):
+    """Random-coding rate bound for q = 2, ell = 1 from the binomial law.
+
+    The plurality of L binary draws is t with probability 2 C(L,t) / 2^L for
+    t > L/2 (C(L,t) / 2^L at t = L/2); logs come from lgamma.  lambda* is
+    found by bisection of the tilted mean of rho = 1 - t/L.
+    """
+    if p == 0.0:
+        return (L - 1.0) / (L - 1)  # two tuples with rho = 0
+    ln2 = math.log(2.0)
+    law = []
+    for t in range((L + 1) // 2, L + 1):
+        mult = 1 if 2 * t == L else 2
+        log_n = math.log(mult) + math.lgamma(L + 1) - math.lgamma(t + 1) - math.lgamma(L - t + 1)
+        law.append((1.0 - t / L, log_n - L * ln2))
+
+    def tilted(lam):
+        xs = [lp - lam * rho * ln2 for rho, lp in law]
+        m = max(xs)
+        ws = [math.exp(x - m) for x in xs]
+        mean = math.fsum(w * rho for w, (rho, _) in zip(ws, law)) / math.fsum(ws)
+        return mean, m + math.log(math.fsum(ws))
+
+    lo, hi = 0.0, 1.0
+    while tilted(hi)[0] > p:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if tilted(mid)[0] > p:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    log_mgf = tilted(lam)[1]
+    return max(0.0, (-lam * p - log_mgf / ln2) / (L - 1))
+
+
+def _xlnx(x):
+    return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
+def ref_eta(x1, x2, base):
+    """eta_base(x1, x2) over arrays: entropy of (x1, x2, 1 - x1 - x2)."""
+    x0 = np.clip(1.0 - x1 - x2, 0.0, None)
+    return -(_xlnx(x1) + _xlnx(x2) + _xlnx(x0)) / math.log(base)
+
+
+def ref_polytope_min(objective, cap, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6), width=10):
+    """Smallest objective(x1, x2) over grid points of the feasible polytope.
+
+    The polytope is {x1, x2 >= 0, x1 + 2 x2 <= cap, x1 + x2 <= 1}.  The first
+    grid spans it; each later grid, ten times finer, spans `width` old steps
+    around the best point so far.  Every x2 row also holds its largest
+    feasible x1, so points on the cap line are candidates too.  Every
+    candidate is feasible, so the result is never below the true minimum.
+    """
+    hi1, hi2 = min(1.0, cap), min(1.0, cap / 2.0)
+    best, b1, b2 = math.inf, 0.0, 0.0
+    lo1, up1, lo2, up2 = 0.0, hi1, 0.0, hi2
+    for h in steps:
+        x1 = np.arange(lo1, up1 + h / 2, h)
+        x2 = np.arange(lo2, up2 + h / 2, h)
+        x2 = x2[x2 <= hi2]
+        edge = np.clip(np.minimum(cap - 2.0 * x2, 1.0 - x2), 0.0, None)
+        X1 = np.concatenate([np.broadcast_to(x1[:, None], (len(x1), len(x2))), edge[None, :]])
+        X2 = np.broadcast_to(x2[None, :], X1.shape)
+        feasible = (X1 + 2.0 * X2 <= cap) & (X1 + X2 <= 1.0)
+        feasible[-1, :] = True
+        vals = np.where(feasible, objective(X1, X2), np.inf)
+        k = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[k] < best:
+            best, b1, b2 = float(vals[k]), float(X1[k]), float(X2[k])
+        lo1, up1 = max(0.0, b1 - width * h), min(hi1, b1 + width * h)
+        lo2, up2 = max(0.0, b2 - width * h), min(hi2, b2 + width * h)
+    return best

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrbounds import (
     BoundCurve,
@@ -30,12 +32,17 @@ from lrbounds import (
     unconstrained_multiplier,
     zero_rate_threshold,
 )
+from lrbounds.analysis import _tail_mass_coefficients
+from lrbounds.bounds import _radius_law
 
 from reference import (
     ref_ball_count,
+    ref_binary_lower_rate,
     ref_degenerate_count,
+    ref_eta,
     ref_lr_ball_count,
     ref_mgf,
+    ref_polytope_min,
     ref_threshold,
 )
 
@@ -90,6 +97,44 @@ def test_large_L_upper_bound_is_a_rate():
     params = Params(2, 1, 1100)
     pstar = zero_rate_threshold(params)
     rates = [eb_upper_bound_rate(params, pstar * k / 6) for k in range(6)]
+    assert all(math.isfinite(r) and 0.0 <= r <= 1.0 for r in rates)
+    assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+@st.composite
+def small_params(draw, max_L=12, max_tuples=None):
+    """Params with q <= 8 and L <= max_L, and q^L <= max_tuples if given."""
+    q = draw(st.integers(min_value=2, max_value=8))
+    if max_tuples is not None:
+        max_L = min(max_L, int(math.log(max_tuples) / math.log(q)))
+    return Params(q, draw(st.integers(1, q - 1)), draw(st.integers(2, max_L)))
+
+
+@settings(max_examples=25)
+@given(small_params())
+def test_radius_law_counts_are_exact(params):
+    q, ell, L = params.q, params.ell, params.L
+    N = _radius_law(q, ell, L)[0]
+    assert len(N) == L + 1
+    assert sum(N) == q**L
+    # sum_t t N_t = sum over [q]^L of top_ell, which is also sum_s c_s behind g
+    assert sum(t * n for t, n in enumerate(N)) == sum(_tail_mass_coefficients(q, ell, L))
+
+
+@settings(max_examples=25)
+@given(small_params(max_tuples=20_000))
+def test_radius_law_degenerate_count(params):
+    q, ell, L = params.q, params.ell, params.L
+    assert _radius_law(q, ell, L)[0][L] == ref_degenerate_count(q, ell, L)
+
+
+def test_large_L_lower_bound_matches_binomial_law():
+    params = Params(2, 1, 1100)
+    pstar = zero_rate_threshold(params)
+    ps = [pstar * k / 6 for k in range(6)]
+    rates = [lower_bound_rate(params, p) for p in ps]
+    for p, r in zip(ps, rates):
+        assert r == pytest.approx(ref_binary_lower_rate(params.L, p), abs=1e-9)
     assert all(math.isfinite(r) and 0.0 <= r <= 1.0 for r in rates)
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
@@ -238,6 +283,48 @@ def test_ry_relaxations_match_lower_bounds():
             )
     with pytest.raises(ValueError):
         comparison_ry_qary3(2, 0.1)
+
+
+def test_ry_closed_forms_are_the_relaxation_minima():
+    # the closed forms may not exceed any feasible value, and the grid gets within 1e-6
+    def check(rate, objective, cap, scale):
+        want = ref_polytope_min(objective, cap) / scale
+        assert rate <= want + 1e-12
+        assert rate == pytest.approx(want, abs=1e-6)
+
+    log2_3 = math.log2(3.0)
+    for p in np.linspace(0.0, 0.5, 17):
+        check(
+            comparison_ry_binary4(float(p)),
+            lambda x1, x2: 3.0 - ref_eta(x1, x2, 2) - 2.0 * x1 - log2_3 * x2,
+            4.0 * p,
+            3.0,
+        )
+    for q in (3, 4, 8):
+        c1, c2 = math.log(3 * (q - 1), q), math.log((q - 1) * (q - 2), q)
+        for p in np.linspace(0.0, 2.0 / 3.0, 9):
+            check(
+                comparison_ry_qary3(q, float(p)),
+                lambda x1, x2: 2.0 - ref_eta(x1, x2, q) - c1 * x1 - c2 * x2,
+                3.0 * p,
+                2.0,
+            )
+
+
+def test_plotkin_constants_large_L_match_exact_reference():
+    params = Params(2, 1, 300)
+    q, L = params.q, params.L
+    tau, eps1 = 0.25, 1e-4
+    pc = plotkin_constants(params, tau, eps1)
+    t2 = Fraction(tau) ** 2
+    x1 = Fraction(6400 * L**6 * q ** (4 * L - 2)) / (2 * t2) + 1
+    want_c = q**L * (math.log10(x1.numerator) - math.log10(x1.denominator))
+    assert pc.log10_c == pytest.approx(want_c, rel=1e-12)
+    # m0 is the larger of two terms; the q^(2L) one dominates here
+    want_m0 = float(Fraction(2**11 * L**7 * q ** (2 * L)) / t2 + L - 2)
+    assert pc.m0 == pytest.approx(want_m0, rel=1e-12)
+    with pytest.raises(ValueError, match="log10_c"):
+        plotkin_constants(Params(2, 1, 1100), tau, eps1)
 
 
 def test_plotkin_constants_behave():

@@ -106,6 +106,21 @@ def test_curve_deterministic_and_thread_invariant():
     assert a.stdout == b.stdout == c.stdout
 
 
+def test_curve_rejects_non_integer_thread_count():
+    res = run_cli(
+        "curve", "--kind", "gmrsw", "--points", "5", env_extra={"LRB_THREADS": "two"}
+    )
+    assert res.returncode == 2
+    assert b"LRB_THREADS" in res.stderr
+
+
+def test_curve_lower_large_L():
+    res = run_cli("curve", "--kind", "lower", "--q", "2", "--ell", "1", "--L", "1100", "--points", "8")
+    assert res.returncode == 0, res.stderr
+    rates = [float(line.split()[1]) for line in res.stdout.decode().splitlines()]
+    assert len(rates) == 8 and rates[0] == 1.0 and rates[-1] == 0.0
+
+
 def test_curve_precision_and_out_file(tmp_path):
     out = tmp_path / "curve.dat"
     res = run_cli(
