@@ -2,17 +2,18 @@
 
 f(params, P) is the expected ell-plurality of L i.i.d. draws from P over
 {1,...,q}; its gradient and Hessian come from composition closed forms (one
-degree down per derivative), never from finite differences.
+degree down per derivative, with top_ell(a + e_i [+ e_j]) tables from the
+exact kernel in compositions), never from finite differences.
 
 g restricts f to the two-block sliced family P_w that spreads mass w
 uniformly over the first q-ell symbols and 1-w over the last ell.  g depends
 on w only through how many draws land on each block, so it is a degree-L
-polynomial fixed by L+1 exact integers c_s (s draws on the tail block).  g,
-g', g'', p* and the Lipschitz constant all derive from that one vector:
-its Bernstein coefficients and their forward differences are taken exactly
-as Fractions and turned into floats once.  The numerical certificates
-(Schur, convexity, monotonicity) evaluate these closed forms on grids or
-sampled distributions.
+polynomial fixed by L+1 exact integers c_s (s draws on the tail block, summed
+over pairs of sorted head and tail orbits).  g, g', g'', p* and the Lipschitz
+constant all derive from that one vector: its Bernstein coefficients and
+their forward differences are taken exactly as Fractions and turned into
+floats once.  The numerical certificates (Schur, convexity, monotonicity)
+evaluate these closed forms on grids or sampled distributions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .compositions import composition_table, enumerate_compositions, max_ell_partial_sum, multinomial
+from .compositions import _orbits, _top_ell_plus_unit, composition_table
 from .params import Params
 
 __all__ = [
@@ -140,15 +141,7 @@ def f(params: Params, dist: DistLike) -> float:
 @lru_cache(maxsize=None)
 def _gradient_table(q: int, ell: int, L: int) -> np.ndarray:
     """top_ell(a + e_j) for a in A_{q,L-1}, shape (K, q)."""
-    tbl = composition_table(q, L - 1, ell)
-    K = tbl.counts.shape[0]
-    plus = np.empty((K, q), dtype=np.float64)
-    for k in range(K):
-        row = list(tbl.counts[k])
-        for j in range(q):
-            row[j] += 1
-            plus[k, j] = max_ell_partial_sum(row, ell)
-            row[j] -= 1
+    plus = _top_ell_plus_unit(composition_table(q, L - 1, ell).counts, ell).astype(np.float64)
     plus.flags.writeable = False
     return plus
 
@@ -178,22 +171,8 @@ def f_gradient(params: Params, dist: DistLike) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _hessian_table(q: int, ell: int, L: int) -> np.ndarray:
     """top_ell(a + e_i + e_j) for a in A_{q,L-2}, shape (K, q, q)."""
-    if L < 2:
-        raise ValueError(f"need L >= 2, got {L}")
-    tbl = composition_table(q, L - 2, ell)
-    K = tbl.counts.shape[0]
-    plus2 = np.empty((K, q, q), dtype=np.float64)
-    for k in range(K):
-        row = list(tbl.counts[k])
-        for i in range(q):
-            row[i] += 1
-            for j in range(i, q):
-                row[j] += 1
-                val = max_ell_partial_sum(row, ell)
-                plus2[k, i, j] = val
-                plus2[k, j, i] = val
-                row[j] -= 1
-            row[i] -= 1
+    plus1 = composition_table(q, L - 2, ell).counts[:, np.newaxis, :] + np.eye(q, dtype=np.int64)
+    plus2 = _top_ell_plus_unit(plus1, ell).astype(np.float64)
     plus2.flags.writeable = False
     return plus2
 
@@ -222,10 +201,15 @@ def _tail_mass_coefficients(q: int, ell: int, L: int) -> tuple[int, ...]:
 
     The tail mass s(a) is the number of draws on the last ell symbols, so
     g(w) = sum_s c_s (w/(q-ell))^(L-s) ((1-w)/ell)^s and sum_s c_s / q^L = f(uniform).
+    top_ell is symmetric within each block, so c_s = C(L,s) sum n_h n_t top_ell(h, t)
+    over sorted head orbits h of A_{q-ell,L-s} and tail orbits t of A_{ell,s}.
     """
-    c = [0] * (L + 1)
-    for a in enumerate_compositions(q, L):
-        c[sum(a.entries[q - ell :])] += multinomial(L, a) * max_ell_partial_sum(a, ell)
+    c = []
+    for s in range(L + 1):
+        tails = list(_orbits(ell, s))
+        total = sum(n_h * n_t * sum(sorted(h + t)[-ell:])
+                    for h, n_h in _orbits(q - ell, L - s) for t, n_t in tails)
+        c.append(math.comb(L, s) * total)
     return tuple(c)
 
 
@@ -319,14 +303,7 @@ def G_ell(params: Params, a: Sequence[int]) -> float:
         raise ValueError(f"need a length-{q} composition, got {len(row)}")
     if any(x < 0 for x in row):
         raise ValueError("composition entries must be non-negative")
-    M = np.empty((q, q), dtype=np.float64)
-    for i in range(q):
-        row[i] += 1
-        for j in range(i, q):
-            row[j] += 1
-            M[i, j] = M[j, i] = max_ell_partial_sum(row, ell)
-            row[j] -= 1
-        row[i] -= 1
+    M = _top_ell_plus_unit(np.array(row, dtype=np.int64) + np.eye(q, dtype=np.int64), ell)
     v = _block_vector(q, ell)
     return float(v @ M @ v)
 

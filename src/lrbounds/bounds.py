@@ -50,6 +50,7 @@ __all__ = [
 
 LAMBDA_CAP = 1e6
 LAMBDA_RESIDUAL = 1e-10
+LAMBDA_RELATIVE = 1e-6  # residual bound relative to p, for p below 1e-4
 
 
 # --- thresholds -----------------------------------------------------------
@@ -155,9 +156,9 @@ def _rate_at_zero(params: Params) -> float:
 class FixedPointResult:
     """Solution of tilted_mean(lam) = p.
 
-    lambda_star is math.inf exactly when p = 0 (or the bracket cap 1e6 was
-    exceeded, unreachable for representable p > 0); then the rate is the
-    exact lam -> inf limit and residual the limiting gap p - 0.
+    lambda_star is math.inf when p = 0, or when the tilted mean at the bracket
+    cap 1e6 is still above p (at (2,1,1100) it is 2.2e-274); then the rate is
+    the exact lam -> inf limit and residual the limiting gap p - 0.
     """
 
     lambda_star: float
@@ -167,7 +168,7 @@ class FixedPointResult:
 
 
 def solve_lambda_star(params: Params, p: float) -> FixedPointResult:
-    """Bisect the decreasing tilted mean; residual <= 1e-10 unless at the marker."""
+    """Bisect the decreasing tilted mean to residual <= min(1e-10, 1e-6 p), unless at the marker."""
     pstar = zero_rate_threshold(params)
     if not 0.0 <= p < pstar:
         raise ValueError(f"need 0 <= p < p* = {pstar}, got {p}")
@@ -184,7 +185,8 @@ def solve_lambda_star(params: Params, p: float) -> FixedPointResult:
 
     lam = hi
     residual = abs(tilted_mean(params, lam) - p)
-    while residual > LAMBDA_RESIDUAL and iterations < 500:
+    tol = min(LAMBDA_RESIDUAL, LAMBDA_RELATIVE * p)
+    while residual > tol and iterations < 500:
         mid = 0.5 * (lo + hi)
         r = tilted_mean(params, mid) - p
         if abs(r) <= residual:
@@ -194,7 +196,7 @@ def solve_lambda_star(params: Params, p: float) -> FixedPointResult:
         else:
             hi = mid
         iterations += 1
-    if residual > LAMBDA_RESIDUAL:
+    if residual > tol:
         raise ArithmeticError(
             f"lambda* bisection stalled at residual {residual:.3e} for p={p}"
         )

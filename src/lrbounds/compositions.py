@@ -2,11 +2,11 @@
 
 A composition is a length-q vector of non-negative integer counts with total
 m, an element of A_{q,m}.  Every closed-form sum downstream (moments and
-derivatives; symmetric ones such as thresholds and tilted means over the
-sorted members only) runs over one of these index sets, so two things are
-pinned here: the enumeration order (lexicographic, first coordinate
-descending) and exactness (multinomial coefficients and orbit sizes are
-Python ints, turned into floats or logs once per cached table).
+derivatives; symmetric ones such as thresholds, tilted means and g's
+coefficients over sorted orbits only) runs over one of these index sets, so
+three things are pinned here: the order (lexicographic, first coordinate
+descending), exactness (multinomials and orbit sizes are Python ints, rounded
+once per cached table) and top_ell(a + e_j), from one vectorized int kernel.
 """
 
 from __future__ import annotations
@@ -72,12 +72,8 @@ def _entries(a: CompositionLike) -> tuple[int, ...]:
     return Composition(tuple(a)).entries
 
 
-def enumerate_compositions(q: int, m: int) -> Iterator[Composition]:
-    """Yield all of A_{q,m}, first coordinate descending.
-
-    For q=2, m=2 the order is (2,0), (1,1), (0,2).  The count is
-    binom(m+q-1, q-1).
-    """
+def _tuples(q: int, m: int) -> Iterator[tuple[int, ...]]:
+    """A_{q,m} as plain tuples, first coordinate descending; not validated per entry."""
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     if m < 0:
@@ -90,7 +86,16 @@ def enumerate_compositions(q: int, m: int) -> Iterator[Composition]:
         for head in range(remaining, -1, -1):
             yield from rec(parts_left - 1, remaining - head, prefix + (head,))
 
-    for ent in rec(q, m, ()):
+    return rec(q, m, ())
+
+
+def enumerate_compositions(q: int, m: int) -> Iterator[Composition]:
+    """Yield all of A_{q,m}, first coordinate descending.
+
+    For q=2, m=2 the order is (2,0), (1,1), (0,2).  The count is
+    binom(m+q-1, q-1).
+    """
+    for ent in _tuples(q, m):
         yield Composition(ent)
 
 
@@ -150,13 +155,28 @@ class CompositionTable(NamedTuple):
     top_ell: np.ndarray
 
 
+def _top_ell_plus_unit(counts: np.ndarray, ell: int) -> np.ndarray:
+    """top_ell(a + e_j) for every count row a and every j; exact int64, shape of counts.
+
+    top_ell(a + e_j) = top_ell(a) + [a_j >= a_(ell)], a_(ell) the ell-th largest
+    entry of a.  No ell-set gains more than 1; if a_j >= a_(ell) a top set of a
+    holds j and gains it, else a_j + 1 <= a_(ell) and a set holding j does no
+    better than one that swaps j for a top entry of a.
+    """
+    top = np.sort(counts, axis=-1)[..., -ell:]
+    return top.sum(axis=-1, keepdims=True) + (counts >= top[..., :1])
+
+
 @lru_cache(maxsize=None)
 def composition_table(q: int, m: int, ell: int) -> CompositionTable:
-    comps = list(enumerate_compositions(q, m))
-    counts = np.array([c.entries for c in comps], dtype=np.int64)
+    counts = np.array(list(_tuples(q, m)), dtype=np.int64)
+    if not 1 <= ell <= q:
+        raise ValueError(f"need 1 <= ell <= {q}, got ell={ell}")
     exponents = counts.astype(np.float64)
-    mults = np.array([float(multinomial(m, c)) for c in comps], dtype=np.float64)
-    tops = np.array([float(max_ell_partial_sum(c, ell)) for c in comps], dtype=np.float64)
+    # exact Python-int multinomials m! / prod(a_i!), each rounded to float once
+    factorials = np.array([math.factorial(k) for k in range(m + 1)], dtype=object)
+    mults = (math.factorial(m) // factorials[counts].prod(axis=1)).astype(np.float64)
+    tops = np.sort(counts, axis=1)[:, -ell:].sum(axis=1).astype(np.float64)
     for arr in (counts, exponents, mults, tops):
         arr.flags.writeable = False
     return CompositionTable(counts, exponents, mults, tops)

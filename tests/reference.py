@@ -42,6 +42,14 @@ def ref_top_ell(a, ell):
     return sum(sorted(a, reverse=True)[:ell])
 
 
+def ref_tail_mass_coefficients(q, ell, L):
+    """c_s = sum of multinomial(L, a) * top_ell(a) over a in A_{q,L} with s draws on the last ell symbols."""
+    c = [0] * (L + 1)
+    for a in ref_compositions(q, L):
+        c[sum(a[q - ell :])] += ref_multinomial(L, a) * ref_top_ell(a, ell)
+    return tuple(c)
+
+
 def ref_plurality_count(x):
     return Counter(x).most_common(1)[0][1]
 

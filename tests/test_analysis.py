@@ -23,7 +23,17 @@ from lrbounds import (
     zero_rate_threshold,
 )
 
-from reference import central_diff, ref_f, second_central_diff, simplex_point
+from lrbounds.analysis import _gradient_table, _hessian_table, _tail_mass_coefficients
+from lrbounds.compositions import composition_table
+
+from reference import (
+    central_diff,
+    ref_f,
+    ref_tail_mass_coefficients,
+    ref_top_ell,
+    second_central_diff,
+    simplex_point,
+)
 
 SMALL_PARAMS = [
     Params(2, 1, 2),
@@ -187,6 +197,32 @@ def test_g_second_is_quadratic_form_in_hessian(params):
         assert g_second(params, w) == pytest.approx(
             float(v @ hess @ v), rel=1e-10, abs=1e-10
         )
+
+
+def test_tail_mass_coefficients_match_brute_force():
+    sets = [(q, ell, L) for q in range(2, 9) for L in range(2, 9) for ell in range(1, q)
+            if math.comb(L + q - 1, q - 1) <= 20_000]
+    for q, ell, L in sets + [(3, 1, 40)]:
+        assert _tail_mass_coefficients(q, ell, L) == ref_tail_mass_coefficients(q, ell, L)
+
+
+def test_plus_tables_match_sorted_route():
+    # _gradient_table[k, j] = top_ell(a + e_j), _hessian_table[k, i, j] = top_ell(a + e_i + e_j)
+    sets = [(q, ell, L) for q in range(2, 6) for L in range(2, 7) for ell in range(1, q)]
+    for q, ell, L in sets + [(8, 2, 10)]:
+        plus = _gradient_table(q, ell, L)
+        for a, row in zip(composition_table(q, L - 1, ell).counts.tolist(), plus):
+            want = [ref_top_ell(a[:j] + [a[j] + 1] + a[j + 1 :], ell) for j in range(q)]
+            assert row.tolist() == want
+        plus2 = _hessian_table(q, ell, L)
+        assert np.array_equal(plus2, plus2.transpose(0, 2, 1))
+        for a, block in zip(composition_table(q, L - 2, ell).counts.tolist(), plus2):
+            for i in range(q):
+                for j in range(i, q):
+                    b = list(a)
+                    b[i] += 1
+                    b[j] += 1
+                    assert block[i, j] == ref_top_ell(b, ell)
 
 
 def test_G_ell_known_values():

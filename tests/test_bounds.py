@@ -194,6 +194,21 @@ def test_fixed_point_at_zero_uses_degenerate_count():
         assert lower_bound_rate(params, 0.0) == pytest.approx(want, rel=1e-12)
 
 
+def test_fixed_point_relative_residual_at_tiny_p():
+    params = Params(2, 1, 1100)
+    res = solve_lambda_star(params, 1e-12)
+    assert math.isfinite(res.lambda_star)
+    assert res.residual <= 1e-6 * 1e-12
+    assert tilted_mean(params, res.lambda_star) == pytest.approx(1e-12, rel=1e-6)
+    assert res.rate == pytest.approx(ref_binary_lower_rate(params.L, 1e-12), abs=1e-12)
+    # the tilted mean at the bracket cap is still above p = 1e-300
+    assert tilted_mean(params, 1e6) > 1e-300
+    res = solve_lambda_star(params, 1e-300)
+    assert math.isinf(res.lambda_star)
+    assert res.rate == lower_bound_rate(params, 0.0)
+    assert res.residual == 1e-300
+
+
 def test_fixed_point_rejects_out_of_range():
     params = Params(2, 1, 3)
     pstar = zero_rate_threshold(params)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from lrbounds import (
     max_ell_partial_sum,
     multinomial,
 )
+from lrbounds.compositions import _top_ell_plus_unit
 
 from reference import ref_compositions, ref_multinomial, ref_top_ell
 
@@ -37,6 +39,10 @@ def test_enumeration_rejects_bad_arguments():
         list(enumerate_compositions(0, 3))
     with pytest.raises(ValueError):
         list(enumerate_compositions(2, -1))
+    with pytest.raises(ValueError):
+        composition_table(0, 3, 1)
+    with pytest.raises(ValueError):
+        composition_table(2, -1, 1)
 
 
 def test_composition_validates_entries():
@@ -82,11 +88,34 @@ def test_max_ell_partial_sum_matches_sorted_route(a, data):
     assert max_ell_partial_sum(a, ell) == ref_top_ell(a, ell)
 
 
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda q: st.lists(
+            st.lists(st.integers(min_value=0, max_value=9), min_size=q, max_size=q),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_top_ell_plus_unit_matches_sorted_route(rows):
+    counts = np.array(rows, dtype=np.int64)
+    q = counts.shape[1]
+    for ell in range(1, q + 1):
+        got = _top_ell_plus_unit(counts, ell)
+        assert got.shape == counts.shape
+        for a, out in zip(rows, got.tolist()):
+            assert out == [ref_top_ell(a[:j] + [a[j] + 1] + a[j + 1 :], ell) for j in range(q)]
+
+
 def test_max_ell_partial_sum_rejects_bad_ell():
     with pytest.raises(ValueError):
         max_ell_partial_sum((1, 2), 0)
     with pytest.raises(ValueError):
         max_ell_partial_sum((1, 2), 3)
+    with pytest.raises(ValueError):
+        composition_table(2, 3, 0)
+    with pytest.raises(ValueError):
+        composition_table(2, 3, 3)
 
 
 def test_majorizes_known_chain():
@@ -120,7 +149,7 @@ def test_majorizes_reflexive(a):
 
 
 def test_composition_table_contents():
-    for q, m, ell in [(2, 3, 1), (3, 4, 2), (4, 5, 3)]:
+    for q, m, ell in [(2, 3, 1), (3, 4, 2), (4, 5, 3), (1, 4, 1), (5, 0, 2), (8, 9, 2), (6, 7, 6)]:
         tab = composition_table(q, m, ell)
         comps = list(enumerate_compositions(q, m))
         assert tab.counts.shape == (len(comps), q)
