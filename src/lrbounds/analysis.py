@@ -12,8 +12,14 @@ polynomial fixed by L+1 exact integers c_s (s draws on the tail block, summed
 over pairs of sorted head and tail orbits).  g, g', g'', p* and the Lipschitz
 constant all derive from that one vector: its Bernstein coefficients and
 their forward differences are taken exactly as Fractions and turned into
-floats once.  The numerical certificates (Schur, convexity, monotonicity)
-evaluate these closed forms on grids or sampled distributions.
+floats once.
+
+Every sum of the form sum_a C(m,a) p^a v_a goes through one log-domain
+kernel, _composition_sums, with the logs of exact multinomials from the
+cached composition tables: f, its gradient and Hessian at any P, and the
+Bernstein basis of g as the q = 2 case.  The numerical certificates (Schur,
+convexity, monotonicity) evaluate these closed forms on grids or sampled
+distributions.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .compositions import _orbits, _top_ell_plus_unit, composition_table
+from .compositions import CompositionTable, _orbits, _top_ell_plus_unit, composition_table
 from .params import Params
 
 __all__ = [
@@ -121,21 +127,40 @@ def _prob_vector(q: int, dist: DistLike) -> np.ndarray:
         p = np.asarray(dist, dtype=np.float64)
     if p.shape != (q,):
         raise ValueError(f"need a length-{q} vector, got shape {p.shape}")
-    if np.any(p < -PROB_TOL):
-        raise ValueError("negative entries in probability vector")
+    if not np.all(p >= -PROB_TOL):  # NaN fails too, as log p would floor it to log 0
+        raise ValueError("negative or NaN entries in probability vector")
     return np.clip(p, 0.0, None)
 
 
-def _power_products(p: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    # p is one vector or a stack of rows; 0.0 ** 0.0 == 1.0 under numpy, as needed here
-    return np.prod(p[..., np.newaxis, :] ** exponents, axis=-1)
+_BLOCK = 1 << 16  # array elements per chunk of rows in _composition_sums
+_LOG_ZERO = -1e300  # stands in for log 0: a * _LOG_ZERO sends p^a to 0 for a >= 1, to 1 for a = 0
+
+
+def _composition_sums(tbl: CompositionTable, log_p: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_a C(m,a) p^a values_a over the table's A_{q,m}, for every row of log p.
+
+    Each term is exp(log C(m,a) + a . log p), so neither C(m,a) nor p^a
+    overflows or underflows for m in the thousands.  Rows go in chunks of at
+    most _BLOCK terms (one row if it has more), so no (rows, |A_{q,m}|)
+    array is built at once.
+    """
+    out = np.empty((len(log_p),) + values.shape[1:], dtype=np.float64)
+    step = max(1, _BLOCK // len(values))
+    for i in range(0, len(log_p), step):
+        terms = tbl.log_multinomials + log_p[i : i + step] @ tbl.exponents.T
+        out[i : i + step] = np.exp(terms) @ values
+    return out
+
+
+def _log_probs(ps: np.ndarray) -> np.ndarray:
+    return np.log(ps, out=np.full(ps.shape, _LOG_ZERO), where=ps > 0.0)
 
 
 def f(params: Params, dist: DistLike) -> float:
     """Expected ell-plurality of L i.i.d. draws from dist."""
     tbl = composition_table(params.q, params.L, params.ell)
-    p = _prob_vector(params.q, dist)
-    return float(np.dot(tbl.multinomials * tbl.top_ell, _power_products(p, tbl.exponents)))
+    log_p = _log_probs(_prob_vector(params.q, dist))[np.newaxis, :]
+    return float(_composition_sums(tbl, log_p, tbl.top_ell)[0])
 
 
 @lru_cache(maxsize=None)
@@ -147,20 +172,10 @@ def _gradient_table(q: int, ell: int, L: int) -> np.ndarray:
 
 
 def _gradients(params: Params, ps: np.ndarray) -> np.ndarray:
-    """Gradient of f at every row of ps.
-
-    Rows go in chunks whose power products fit in _BERNSTEIN_BLOCK elements;
-    each row is contracted alone, so its bits do not depend on the batch.
-    """
+    """Gradient of f at every row of ps."""
     q, ell, L = params.q, params.ell, params.L
     tbl = composition_table(q, L - 1, ell)
-    plus = _gradient_table(q, ell, L)
-    out = np.empty((len(ps), q), dtype=np.float64)
-    step = max(1, _BERNSTEIN_BLOCK // tbl.exponents.size)
-    for i in range(0, len(ps), step):
-        weights = tbl.multinomials * _power_products(ps[i : i + step], tbl.exponents)
-        out[i : i + step] = [L * (w @ plus) for w in weights]
-    return out
+    return L * _composition_sums(tbl, _log_probs(ps), _gradient_table(q, ell, L))
 
 
 def f_gradient(params: Params, dist: DistLike) -> np.ndarray:
@@ -181,10 +196,9 @@ def f_hessian(params: Params, dist: DistLike) -> np.ndarray:
     """Hessian of f in P, via the degree-(L-2) closed form."""
     q, ell, L = params.q, params.ell, params.L
     tbl = composition_table(q, L - 2, ell)
-    plus2 = _hessian_table(q, ell, L)
-    p = _prob_vector(q, dist)
-    weights = tbl.multinomials * _power_products(p, tbl.exponents)
-    return L * (L - 1) * np.einsum("k,kij->ij", weights, plus2)
+    plus2 = _hessian_table(q, ell, L).reshape(-1, q * q)
+    log_p = _log_probs(_prob_vector(q, dist))[np.newaxis, :]
+    return L * (L - 1) * _composition_sums(tbl, log_p, plus2)[0].reshape(q, q)
 
 
 def _block_vector(q: int, ell: int) -> np.ndarray:
@@ -235,43 +249,18 @@ def _slice_bernstein(q: int, ell: int, L: int, order: int) -> np.ndarray:
     return coef
 
 
-@lru_cache(maxsize=None)
-def _log_binomials(n: int) -> np.ndarray:
-    out = np.array([math.log(math.comb(n, k)) for k in range(n + 1)], dtype=np.float64)
-    out.flags.writeable = False
-    return out
-
-
-_BERNSTEIN_BLOCK = 1 << 16  # array elements per chunk of w in _bernstein_sum
-
-
-def _bernstein_sum(coef: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """sum_k coef_k C(n,k) w^k (1-w)^(n-k) at every w, n = len(coef) - 1.
-
-    The basis is formed in the log domain, so neither C(n,k) nor w^k
-    overflows or underflows for n in the thousands; w is taken in chunks so
-    that no (len(ws), n+1) array is built for large n.
-    """
-    n = len(coef) - 1
-    k = np.arange(n + 1)
-    log_binom = _log_binomials(n)
-    out = np.empty(len(ws), dtype=np.float64)
-    step = max(1, _BERNSTEIN_BLOCK // (n + 1))
-    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at w = 0 or 1
-        for i in range(0, len(ws), step):
-            w = ws[i : i + step, np.newaxis]
-            head = k * np.log(w)
-            tail = (n - k) * np.log1p(-w)
-            head[:, 0] = 0.0  # w^0 = 1, also at w = 0
-            tail[:, n] = 0.0
-            out[i : i + step] = np.exp(log_binom + head + tail) @ coef
-    return out
-
-
 def _slice_values(params: Params, order: int, ws: Sequence[float]) -> np.ndarray:
-    """g (order 0), g' (1) or g'' (2) at every w of ws."""
+    """g (order 0), g' (1) or g'' (2) at every w of ws.
+
+    The Bernstein basis C(n,k) w^k (1-w)^(n-k) is the q = 2 composition sum:
+    row k of A_{2,n} is (n-k, k), so log p = (log(1-w), log w).
+    """
     coef = _slice_bernstein(params.q, params.ell, params.L, order)
-    return _bernstein_sum(coef, np.asarray(ws, dtype=np.float64))
+    w = np.asarray(ws, dtype=np.float64)
+    log_p = np.full((len(w), 2), _LOG_ZERO)
+    np.log1p(-w, out=log_p[:, 0], where=w < 1.0)
+    np.log(w, out=log_p[:, 1], where=w > 0.0)
+    return _composition_sums(composition_table(2, len(coef) - 1, 1), log_p, coef)
 
 
 def _check_w(w: float) -> None:

@@ -298,25 +298,25 @@ def unconstrained_multiplier(params: Params, tau: float) -> float:
 # --- volumes and covering sizes --------------------------------------------
 
 
+def _ball_volume(q: int, ell: int, n: int, radius: int) -> int:
+    if radius < 0:
+        raise ValueError(f"need radius >= 0, got {radius}")
+    r = min(radius, n)
+    return sum(math.comb(n, i) * (q - ell) ** i * ell ** (n - i) for i in range(r + 1))
+
+
 def ball_volume(q: int, n: int, radius: int) -> int:
     """Exact Hamming ball volume sum_{i<=r} C(n,i)(q-1)^i."""
     if q < 2 or n < 0:
         raise ValueError(f"need q >= 2, n >= 0, got q={q}, n={n}")
-    if radius < 0:
-        raise ValueError(f"need radius >= 0, got {radius}")
-    r = min(radius, n)
-    return sum(math.comb(n, i) * (q - 1) ** i for i in range(r + 1))
+    return _ball_volume(q, 1, n, radius)
 
 
 def lr_ball_volume(params: Params, n: int, radius: int) -> int:
     """Exact volume of the lr-ball around an input-list tuple."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if radius < 0:
-        raise ValueError(f"need radius >= 0, got {radius}")
-    q, ell = params.q, params.ell
-    r = min(radius, n)
-    return sum(math.comb(n, i) * (q - ell) ** i * ell ** (n - i) for i in range(r + 1))
+    return _ball_volume(params.q, params.ell, n, radius)
 
 
 def _volume_bounds(q: int, ell: int, n: int, w: float) -> tuple[float, float]:
@@ -342,26 +342,26 @@ def lr_ball_volume_bounds(params: Params, n: int, w: float) -> tuple[float, floa
     return _volume_bounds(params.q, params.ell, n, w)
 
 
+def _covering_size(q: int, ell: int, n: int, w: float) -> float:
+    if not 0.0 < w < 1.0:
+        raise ValueError(f"need 0 < w < 1, got {w}")
+    return n * math.log(q) * math.sqrt(8.0 * n * w * (1.0 - w)) * float(q) ** (
+        n * (1.0 - _entropy(q, ell, w))
+    ) + 1.0
+
+
 def covering_size_bound(q: int, n: int, w: float) -> float:
     """Greedy covering-code size: n ln(q) sqrt(8 n w (1-w)) q^{n(1-H_q(w))} + 1."""
     if q < 2 or n < 2:
         raise ValueError(f"need q >= 2, n >= 2, got q={q}, n={n}")
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"need 0 < w < 1, got {w}")
-    return n * math.log(q) * math.sqrt(8.0 * n * w * (1.0 - w)) * float(q) ** (
-        n * (1.0 - entropy_q(q, w))
-    ) + 1.0
+    return _covering_size(q, 1, n, w)
 
 
 def covering_size_bound_lr(params: Params, n: int, w: float) -> float:
     """Greedy cover of [q]^n by lr-balls around input-list tuples."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"need 0 < w < 1, got {w}")
-    return n * math.log(params.q) * math.sqrt(8.0 * n * w * (1.0 - w)) * float(
-        params.q
-    ) ** (n * (1.0 - entropy_q_ell(params, w))) + 1.0
+    return _covering_size(params.q, params.ell, n, w)
 
 
 # --- published comparison curves -------------------------------------------

@@ -5,8 +5,9 @@ m, an element of A_{q,m}.  Every closed-form sum downstream (moments and
 derivatives; symmetric ones such as thresholds, tilted means and g's
 coefficients over sorted orbits only) runs over one of these index sets, so
 three things are pinned here: the order (lexicographic, first coordinate
-descending), exactness (multinomials and orbit sizes are Python ints, rounded
-once per cached table) and top_ell(a + e_j), from one vectorized int kernel.
+descending), exactness (multinomials and orbit sizes are Python ints; a cached
+table holds the logs of exact ints) and top_ell(a + e_j), from one vectorized
+int kernel.
 """
 
 from __future__ import annotations
@@ -72,21 +73,27 @@ def _entries(a: CompositionLike) -> tuple[int, ...]:
     return Composition(tuple(a)).entries
 
 
-def _tuples(q: int, m: int) -> Iterator[tuple[int, ...]]:
-    """A_{q,m} as plain tuples, first coordinate descending; not validated per entry."""
+def _tuples(q: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(a, m!/prod(a_i!)) for a in A_{q,m}, first coordinate descending; a not validated.
+
+    The multinomial is a product of binomials C(remaining, head) along the
+    recursion, each binomial updated from the previous head by one exact step.
+    """
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
 
-    def rec(parts_left: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def rec(parts_left: int, remaining: int, prefix: tuple[int, ...], n: int):
         if parts_left == 1:
-            yield prefix + (remaining,)
+            yield prefix + (remaining,), n
             return
+        binom = 1  # C(remaining, head)
         for head in range(remaining, -1, -1):
-            yield from rec(parts_left - 1, remaining - head, prefix + (head,))
+            yield from rec(parts_left - 1, remaining - head, prefix + (head,), n * binom)
+            binom = binom * head // (remaining - head + 1)
 
-    return rec(q, m, ())
+    return rec(q, m, (), 1)
 
 
 def enumerate_compositions(q: int, m: int) -> Iterator[Composition]:
@@ -95,7 +102,7 @@ def enumerate_compositions(q: int, m: int) -> Iterator[Composition]:
     For q=2, m=2 the order is (2,0), (1,1), (0,2).  The count is
     binom(m+q-1, q-1).
     """
-    for ent in _tuples(q, m):
+    for ent, _ in _tuples(q, m):
         yield Composition(ent)
 
 
@@ -145,13 +152,14 @@ class CompositionTable(NamedTuple):
     """Vectorized view of A_{q,m} for fixed ell.
 
     counts are exact int64 entries, exponents the same matrix as float64
-    (ready for broadcasting powers), multinomials and top_ell are float64.
-    Arrays are read-only; tables are cached per (q, m, ell).
+    (ready for a matrix product with log p), log_multinomials the logs of the
+    exact multinomials (finite for every m), top_ell float64.  Arrays are
+    read-only; tables are cached per (q, m, ell).
     """
 
     counts: np.ndarray
     exponents: np.ndarray
-    multinomials: np.ndarray
+    log_multinomials: np.ndarray
     top_ell: np.ndarray
 
 
@@ -169,17 +177,16 @@ def _top_ell_plus_unit(counts: np.ndarray, ell: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def composition_table(q: int, m: int, ell: int) -> CompositionTable:
-    counts = np.array(list(_tuples(q, m)), dtype=np.int64)
+    rows = list(_tuples(q, m))
     if not 1 <= ell <= q:
         raise ValueError(f"need 1 <= ell <= {q}, got ell={ell}")
+    counts = np.array([a for a, _ in rows], dtype=np.int64)
     exponents = counts.astype(np.float64)
-    # exact Python-int multinomials m! / prod(a_i!), each rounded to float once
-    factorials = np.array([math.factorial(k) for k in range(m + 1)], dtype=object)
-    mults = (math.factorial(m) // factorials[counts].prod(axis=1)).astype(np.float64)
+    log_mults = np.array([math.log(n) for _, n in rows], dtype=np.float64)
     tops = np.sort(counts, axis=1)[:, -ell:].sum(axis=1).astype(np.float64)
-    for arr in (counts, exponents, mults, tops):
+    for arr in (counts, exponents, log_mults, tops):
         arr.flags.writeable = False
-    return CompositionTable(counts, exponents, mults, tops)
+    return CompositionTable(counts, exponents, log_mults, tops)
 
 
 def _orbits(q: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:

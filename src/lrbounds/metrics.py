@@ -45,22 +45,15 @@ def _symbol_counts(x: Sequence[int], q: int) -> list[int]:
 
 def plurality(x: Sequence[int], q: int) -> tuple[int, int]:
     """Most frequent symbol of x and its count; smallest symbol wins ties."""
-    if len(x) == 0:
-        raise ValueError("empty tuple has no plurality")
-    _validate_symbols(x, q)
-    counts = _symbol_counts(x, q)
-    best_sym = 1
-    for s in range(2, q + 1):
-        if counts[s] > counts[best_sym]:
-            best_sym = s
-    return best_sym, counts[best_sym]
+    (sym,), count = plurality_ell(x, q, 1)
+    return sym, count
 
 
 def plurality_ell(x: Sequence[int], q: int, ell: int) -> tuple[tuple[int, ...], int]:
     """Best ell-subset of symbols by total count in x, with that count.
 
-    Ties resolve to the lexicographically smallest subset.  plurality_ell
-    with ell = 1 agrees with plurality up to the (symbol,) wrapping.
+    Ties resolve to the lexicographically smallest subset; plurality is the
+    ell = 1 case without the (symbol,) wrapping.
     """
     if len(x) == 0:
         raise ValueError("empty tuple has no plurality")

@@ -84,6 +84,44 @@ def ref_f(q, ell, L, probs):
     return math.fsum(terms)
 
 
+def _ref_monomials(probs, m):
+    """p^e for every e in A_{q,m}; 0.0**0 == 1.0."""
+    return {e: math.prod(p**k for p, k in zip(probs, e)) for e in ref_compositions(len(probs), m)}
+
+
+def ref_f_gradient(q, ell, L, probs):
+    """d/dp_j of sum over b in A_{q,L} of multinomial(L, b) p^b top_ell(b), term by term."""
+    mono = _ref_monomials(probs, L - 1)
+    terms = [[] for _ in range(q)]
+    for b in ref_compositions(q, L):
+        weight = ref_multinomial(L, b) * ref_top_ell(b, ell)
+        for j in range(q):
+            if b[j] > 0:
+                e = list(b)
+                e[j] -= 1
+                terms[j].append(weight * b[j] * mono[tuple(e)])
+    return np.array([math.fsum(t) for t in terms])
+
+
+def ref_f_hessian(q, ell, L, probs):
+    """d^2/dp_i dp_j of the same polynomial, term by term."""
+    mono = _ref_monomials(probs, L - 2)
+    terms = [[[] for _ in range(q)] for _ in range(q)]
+    for b in ref_compositions(q, L):
+        weight = ref_multinomial(L, b) * ref_top_ell(b, ell)
+        for i in range(q):
+            if b[i] == 0:
+                continue
+            d = list(b)
+            d[i] -= 1
+            for j in range(q):
+                if d[j] > 0:
+                    e = list(d)
+                    e[j] -= 1
+                    terms[i][j].append(weight * b[i] * d[j] * mono[tuple(e)])
+    return np.array([[math.fsum(t) for t in row] for row in terms])
+
+
 def ref_threshold(q, ell, L):
     """Exact p* = E[L - plur_ell]/L under the uniform law, as a Fraction."""
     total = 0

@@ -29,6 +29,8 @@ from lrbounds.compositions import composition_table
 from reference import (
     central_diff,
     ref_f,
+    ref_f_gradient,
+    ref_f_hessian,
     ref_tail_mass_coefficients,
     ref_top_ell,
     second_central_diff,
@@ -105,6 +107,14 @@ def test_f_accepts_all_input_forms():
     assert f(params, Distribution((0.2, 0.3, 0.5))) == val
 
 
+def test_f_side_rejects_nan():
+    # log NaN must not be floored to log 0 and read as a zero probability
+    params = Params(3, 1, 3)
+    for fn in (f, f_gradient, f_hessian):
+        with pytest.raises(ValueError):
+            fn(params, (math.nan, 0.5, 0.5))
+
+
 def test_f_is_homogeneous_of_degree_L():
     # f extends to a polynomial; scaling the vector scales by t^L
     params = Params(3, 2, 4)
@@ -148,6 +158,34 @@ def test_hessian_matches_finite_differences(params):
                 v[j] = t
                 return f_gradient(params, v)[i]
             assert hess[i, j] == pytest.approx(central_diff(gij, p[j], h), abs=1e-4)
+
+
+def test_derivatives_on_faces_match_term_by_term_sums():
+    # a zero coordinate kills every term that holds it and leaves the rest alone
+    sets = [(q, ell, L) for q in range(2, 6) for L in range(2, 7) for ell in range(1, q)]
+    for q, ell, L in sets + [(8, 2, 10)]:
+        params = Params(q, ell, L)
+        vertex = np.eye(q)[0]
+        edge = np.zeros(q)
+        edge[:2] = 0.5
+        tail = np.zeros(q)
+        tail[-2:] = (0.3, 0.7)
+        for p in (vertex, edge, tail):
+            np.testing.assert_allclose(
+                f_gradient(params, p), ref_f_gradient(q, ell, L, p), rtol=1e-12, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                f_hessian(params, p), ref_f_hessian(q, ell, L, p), rtol=1e-12, atol=1e-12
+            )
+
+
+def test_f_side_at_large_L():
+    # C(1100, 550) is about 1e330; the composition sums run in the log domain
+    params = Params(2, 1, 1100)
+    L = params.L
+    val = f(params, Distribution.uniform(2))
+    assert val == pytest.approx(L * (1.0 - zero_rate_threshold(params)), rel=1e-12)
+    assert f_gradient(params, (1.0, 0.0)).tolist() == [L * L, L * (L - 1)]
 
 
 @pytest.mark.parametrize("params", SMALL_PARAMS)

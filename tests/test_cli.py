@@ -164,7 +164,8 @@ def test_curve_step_grid():
 
 
 def test_certify_pass_and_exit_codes():
-    for q, ell, L in [(2, 1, 2), (3, 1, 4), (4, 2, 5)]:
+    # (2,1,1100): the Schur sums hold multinomials beyond float, C(1099, 549) ~ 1e329
+    for q, ell, L in [(2, 1, 2), (3, 1, 4), (4, 2, 5), (2, 1, 1100)]:
         res = run_cli("certify", "--q", str(q), "--ell", str(ell), "--L", str(L))
         assert res.returncode == 0, res.stdout
         kv = parse_kv(res.stdout)
@@ -172,6 +173,13 @@ def test_certify_pass_and_exit_codes():
         assert kv["schur"] == "PASS"
         assert kv["convexity"] == "PASS"
         assert kv["monotonicity"] == "PASS"
+
+
+def test_certify_deterministic():
+    args = ("certify", "--q", "8", "--ell", "2", "--L", "10")
+    first, second = run_cli(*args), run_cli(*args)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
 
 
 def test_certify_reports_convexity_failure():

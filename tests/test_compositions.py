@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrbounds import (
@@ -156,7 +156,7 @@ def test_composition_table_contents():
         assert [tuple(row) for row in tab.counts] == [c.entries for c in comps]
         assert tab.counts.sum(axis=1).tolist() == [m] * len(comps)
         for k, c in enumerate(comps):
-            assert tab.multinomials[k] == float(multinomial(m, c))
+            assert tab.log_multinomials[k] == math.log(multinomial(m, c))
             assert tab.top_ell[k] == float(max_ell_partial_sum(c, ell))
         assert (tab.exponents == tab.counts).all()
 
@@ -170,6 +170,10 @@ def test_composition_table_read_only_and_cached():
 
 @settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6))
+@example(2, 1100)  # C(1100, 550) is about 1e330, beyond float
 def test_table_multinomials_sum_property(q, m):
-    tab = composition_table(q, m, 1)
-    assert math.fsum(tab.multinomials) == q**m
+    # sum over A_{q,m} of multinomials is q^m, checked as a logsumexp
+    logs = composition_table(q, m, 1).log_multinomials
+    top = float(logs.max())
+    total = top + math.log(math.fsum(np.exp(logs - top)))
+    assert math.isclose(total, m * math.log(q), rel_tol=1e-12, abs_tol=0.0)
