@@ -1,18 +1,20 @@
 """Moment functions of i.i.d. symbol draws and their certificates.
 
 f(params, P) is the expected ell-plurality of L i.i.d. draws from P over
-{1,...,q}; its gradient and Hessian come from composition closed forms (one
-degree down per derivative, with top_ell(a + e_i [+ e_j]) tables from the
-exact kernel in compositions), never from finite differences.
+{1,...,q}.  Its derivatives of order k = 0, 1, 2 (f, gradient, Hessian) come
+from one closed form, L!/(L-k)! sum over A_{q,L-k} of
+C(L-k,a) p^a top_ell(a + e_(j_1) + ... + e_(j_k)), with the top_ell table of
+order k from compositions, never from finite differences.
 
 g restricts f to the two-block sliced family P_w that spreads mass w
 uniformly over the first q-ell symbols and 1-w over the last ell.  g depends
 on w only through how many draws land on each block, so it is a degree-L
 polynomial fixed by L+1 exact integers c_s (s draws on the tail block, summed
 over pairs of sorted head and tail orbits).  g, g', g'', p* and the Lipschitz
-constant all derive from that one vector: its Bernstein coefficients and
-their forward differences are taken exactly as Fractions and turned into
-floats once.
+constant all derive from that one vector: over the one denominator
+((q-ell) ell)^L its Bernstein coefficients have integer numerators, their
+forward differences are taken in ints, and each is divided into a float
+once, correctly rounded.
 
 Every sum of the form sum_a C(m,a) p^a v_a goes through one log-domain
 kernel, _composition_sums, with the logs of exact multinomials from the
@@ -26,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
 import numpy as np
 
-from .compositions import CompositionTable, _orbits, _top_ell_plus_unit, composition_table
+from .compositions import (CompositionTable, _orbits, _top_ell_plus_unit, _top_ell_table,
+                           composition_table)
 from .params import Params
 
 __all__ = [
@@ -69,9 +71,9 @@ class Distribution:
         ps = tuple(float(p) for p in self.probs)
         if len(ps) < 2:
             raise ValueError("need at least a binary alphabet")
-        if any(p < -PROB_TOL for p in ps):
-            raise ValueError(f"negative probability in {ps}")
-        if abs(math.fsum(ps) - 1.0) > PROB_TOL:
+        if not all(p >= -PROB_TOL for p in ps):
+            raise ValueError(f"negative or NaN probability in {ps}")
+        if not abs(math.fsum(ps) - 1.0) <= PROB_TOL:
             raise ValueError(f"probabilities sum to {math.fsum(ps)!r}, not 1")
         object.__setattr__(self, "probs", tuple(max(p, 0.0) for p in ps))
 
@@ -156,49 +158,31 @@ def _log_probs(ps: np.ndarray) -> np.ndarray:
     return np.log(ps, out=np.full(ps.shape, _LOG_ZERO), where=ps > 0.0)
 
 
+def _f_derivatives(params: Params, ps: np.ndarray, order: int) -> np.ndarray:
+    """The order-th derivative of f at every row of ps, flattened to q**order columns.
+
+    d^k f / dp_(j_1)..dp_(j_k) = L!/(L-k)! sum over a in A_{q,L-k} of
+    C(L-k,a) p^a top_ell(a + e_(j_1) + ... + e_(j_k)).
+    """
+    q, ell, m = params.q, params.ell, params.L - order
+    tbl, top = composition_table(q, m), _top_ell_table(q, ell, m, order)
+    return math.perm(params.L, order) * _composition_sums(tbl, _log_probs(ps), top)
+
+
 def f(params: Params, dist: DistLike) -> float:
     """Expected ell-plurality of L i.i.d. draws from dist."""
-    tbl = composition_table(params.q, params.L, params.ell)
-    log_p = _log_probs(_prob_vector(params.q, dist))[np.newaxis, :]
-    return float(_composition_sums(tbl, log_p, tbl.top_ell)[0])
-
-
-@lru_cache(maxsize=None)
-def _gradient_table(q: int, ell: int, L: int) -> np.ndarray:
-    """top_ell(a + e_j) for a in A_{q,L-1}, shape (K, q)."""
-    plus = _top_ell_plus_unit(composition_table(q, L - 1, ell).counts, ell).astype(np.float64)
-    plus.flags.writeable = False
-    return plus
-
-
-def _gradients(params: Params, ps: np.ndarray) -> np.ndarray:
-    """Gradient of f at every row of ps."""
-    q, ell, L = params.q, params.ell, params.L
-    tbl = composition_table(q, L - 1, ell)
-    return L * _composition_sums(tbl, _log_probs(ps), _gradient_table(q, ell, L))
+    return float(_f_derivatives(params, _prob_vector(params.q, dist)[np.newaxis, :], 0)[0, 0])
 
 
 def f_gradient(params: Params, dist: DistLike) -> np.ndarray:
     """Gradient of f in P, via the degree-(L-1) closed form."""
-    return _gradients(params, _prob_vector(params.q, dist)[np.newaxis, :])[0]
-
-
-@lru_cache(maxsize=None)
-def _hessian_table(q: int, ell: int, L: int) -> np.ndarray:
-    """top_ell(a + e_i + e_j) for a in A_{q,L-2}, shape (K, q, q)."""
-    plus1 = composition_table(q, L - 2, ell).counts[:, np.newaxis, :] + np.eye(q, dtype=np.int64)
-    plus2 = _top_ell_plus_unit(plus1, ell).astype(np.float64)
-    plus2.flags.writeable = False
-    return plus2
+    return _f_derivatives(params, _prob_vector(params.q, dist)[np.newaxis, :], 1)[0]
 
 
 def f_hessian(params: Params, dist: DistLike) -> np.ndarray:
     """Hessian of f in P, via the degree-(L-2) closed form."""
-    q, ell, L = params.q, params.ell, params.L
-    tbl = composition_table(q, L - 2, ell)
-    plus2 = _hessian_table(q, ell, L).reshape(-1, q * q)
-    log_p = _log_probs(_prob_vector(q, dist))[np.newaxis, :]
-    return L * (L - 1) * _composition_sums(tbl, log_p, plus2)[0].reshape(q, q)
+    q = params.q
+    return _f_derivatives(params, _prob_vector(q, dist)[np.newaxis, :], 2)[0].reshape(q, q)
 
 
 def _block_vector(q: int, ell: int) -> np.ndarray:
@@ -232,19 +216,17 @@ def _slice_bernstein(q: int, ell: int, L: int, order: int) -> np.ndarray:
     """Bernstein coefficients of the order-th derivative of g, degree L - order.
 
     beta_k = c_{L-k} / (C(L,k) (q-ell)^k ell^(L-k)) is the mean of top_ell
-    given k draws on the head block, so 0 <= beta_k <= L.  Each derivative
-    is a forward difference times the degree; both are exact, and only the
-    bounded result is rounded to float.
+    given k draws on the head block, so 0 <= beta_k <= L.  Over the one
+    denominator ((q-ell) ell)^L its numerators B_k are integers (C(L,k)
+    divides c_{L-k}); each derivative is a forward difference of B times
+    the degree, and one correctly rounded int division gives each float.
     """
     c = _tail_mass_coefficients(q, ell, L)
-    beta = [
-        Fraction(c[L - k], math.comb(L, k) * (q - ell) ** k * ell ** (L - k))
-        for k in range(L + 1)
-    ]
+    B = [c[L - k] // math.comb(L, k) * (q - ell) ** (L - k) * ell**k for k in range(L + 1)]
     for _ in range(order):
-        beta = [b - a for a, b in zip(beta, beta[1:])]
-    scale = math.perm(L, order)
-    coef = np.array([float(scale * b) for b in beta], dtype=np.float64)
+        B = [b - a for a, b in zip(B, B[1:])]
+    scale, den = math.perm(L, order), ((q - ell) * ell) ** L
+    coef = np.array([scale * b / den for b in B], dtype=np.float64)
     coef.flags.writeable = False
     return coef
 
@@ -260,7 +242,7 @@ def _slice_values(params: Params, order: int, ws: Sequence[float]) -> np.ndarray
     log_p = np.full((len(w), 2), _LOG_ZERO)
     np.log1p(-w, out=log_p[:, 0], where=w < 1.0)
     np.log(w, out=log_p[:, 1], where=w > 0.0)
-    return _composition_sums(composition_table(2, len(coef) - 1, 1), log_p, coef)
+    return _composition_sums(composition_table(2, len(coef) - 1), log_p, coef)
 
 
 def _check_w(w: float) -> None:
@@ -349,7 +331,7 @@ def certify_schur(
     # one draw of shape (samples, q) is the same stream as samples draws of q
     e = np.random.default_rng(seed).standard_exponential((samples, q))
     ps = e / e.sum(axis=1, keepdims=True)
-    grads = _gradients(params, ps)
+    grads = _f_derivatives(params, ps, 1)
     # the product is symmetric in (i, j), so pairs i < j cover every value
     worst = min(
         float(((ps[:, i] - ps[:, j]) * (grads[:, i] - grads[:, j])).min())

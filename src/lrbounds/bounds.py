@@ -126,7 +126,7 @@ def entropy_q_ell(params: Params, w: float) -> float:
 
 def _tilt(params: Params, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
     """rho_t, weights proportional to P(rho_t) q^(-lam rho_t), and log E[q^(-lam rho)]."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"need lam >= 0, got {lam}")
     _, rho, log_p = _radius_law(params.q, params.ell, params.L)
     x = log_p - lam * rho * math.log(params.q)
@@ -372,10 +372,10 @@ def eta_q(q: int, xs: Sequence[float]) -> float:
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
     vals = [float(x) for x in xs]
-    if any(x < 0.0 for x in vals):
+    if not all(x >= 0.0 for x in vals):
         raise ValueError(f"need non-negative entries, got {vals}")
     s = math.fsum(vals)
-    if s > 1.0 + 1e-12:
+    if not s <= 1.0 + 1e-12:
         raise ValueError(f"entries sum to {s} > 1")
     lnq = math.log(q)
     out = 0.0
@@ -412,7 +412,7 @@ def _divergence_to_cap(u1: float, u2: float, cap: float) -> float:
 
 def comparison_ry_binary4(p: float) -> float:
     """Binary (ell=1, L=4) curve: (1/3) min over the two-weight relaxation."""
-    if p < 0.0:
+    if not p >= 0.0:
         raise ValueError(f"need p >= 0, got {p}")
     # 3 - eta_2(x) - 2 x1 - log2(3) x2 = D(x || (1, 4, 3)/8) / ln 2
     return _divergence_to_cap(4.0, 3.0, 4.0 * p) / (3.0 * math.log(2.0))
@@ -422,7 +422,7 @@ def comparison_ry_qary3(q: int, p: float) -> float:
     """q-ary (ell=1, L=3) curve: (1/2) min over the two-weight relaxation."""
     if q < 3:
         raise ValueError(f"need q >= 3, got {q}")
-    if p < 0.0:
+    if not p >= 0.0:
         raise ValueError(f"need p >= 0, got {p}")
     # 2 - eta_q(x) - log_q(3(q-1)) x1 - log_q((q-1)(q-2)) x2 = D(x || (1, u1, u2)/q^2) / ln q
     u1, u2 = 3.0 * (q - 1), float((q - 1) * (q - 2))

@@ -6,8 +6,9 @@ derivatives; symmetric ones such as thresholds, tilted means and g's
 coefficients over sorted orbits only) runs over one of these index sets, so
 three things are pinned here: the order (lexicographic, first coordinate
 descending), exactness (multinomials and orbit sizes are Python ints; a cached
-table holds the logs of exact ints) and top_ell(a + e_j), from one vectorized
-int kernel.
+table holds the logs of exact ints and knows nothing of ell) and the top_ell
+tables of a + e_(j_1) + ... + e_(j_k) for derivatives of order k, all built
+by one cached function from one vectorized int kernel.
 """
 
 from __future__ import annotations
@@ -149,18 +150,17 @@ def majorizes(a: Sequence[float], b: Sequence[float], tol: float = MAJORIZATION_
 
 
 class CompositionTable(NamedTuple):
-    """Vectorized view of A_{q,m} for fixed ell.
+    """Vectorized view of A_{q,m}.
 
     counts are exact int64 entries, exponents the same matrix as float64
     (ready for a matrix product with log p), log_multinomials the logs of the
-    exact multinomials (finite for every m), top_ell float64.  Arrays are
-    read-only; tables are cached per (q, m, ell).
+    exact multinomials (finite for every m).  Arrays are read-only; tables
+    are cached per (q, m).
     """
 
     counts: np.ndarray
     exponents: np.ndarray
     log_multinomials: np.ndarray
-    top_ell: np.ndarray
 
 
 def _top_ell_plus_unit(counts: np.ndarray, ell: int) -> np.ndarray:
@@ -176,17 +176,34 @@ def _top_ell_plus_unit(counts: np.ndarray, ell: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def composition_table(q: int, m: int, ell: int) -> CompositionTable:
+def composition_table(q: int, m: int) -> CompositionTable:
     rows = list(_tuples(q, m))
-    if not 1 <= ell <= q:
-        raise ValueError(f"need 1 <= ell <= {q}, got ell={ell}")
     counts = np.array([a for a, _ in rows], dtype=np.int64)
     exponents = counts.astype(np.float64)
     log_mults = np.array([math.log(n) for _, n in rows], dtype=np.float64)
-    tops = np.sort(counts, axis=1)[:, -ell:].sum(axis=1).astype(np.float64)
-    for arr in (counts, exponents, log_mults, tops):
+    for arr in (counts, exponents, log_mults):
         arr.flags.writeable = False
-    return CompositionTable(counts, exponents, log_mults, tops)
+    return CompositionTable(counts, exponents, log_mults)
+
+
+@lru_cache(maxsize=None)
+def _top_ell_table(q: int, ell: int, m: int, order: int) -> np.ndarray:
+    """top_ell(a + e_(j_1) + ... + e_(j_order)) for a in A_{q,m}, shape (K, q**order).
+
+    Column j_1 q^(order-1) + ... + j_order; order 0 is top_ell(a), one
+    column.  Higher orders add order - 1 unit vectors to the rows and take
+    the last one with _top_ell_plus_unit.  float64, read-only.
+    """
+    counts = composition_table(q, m).counts
+    if order == 0:
+        top = np.sort(counts, axis=1)[:, -ell:].sum(axis=1)
+    else:
+        for _ in range(order - 1):
+            counts = counts[..., np.newaxis, :] + np.eye(q, dtype=np.int64)
+        top = _top_ell_plus_unit(counts, ell)
+    table = top.reshape(len(counts), -1).astype(np.float64)
+    table.flags.writeable = False
+    return table
 
 
 def _orbits(q: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:

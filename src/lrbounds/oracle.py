@@ -171,14 +171,19 @@ class ExpurgationReport:
 
 def _first_bad_subset(
     words: list[tuple], p: float, ell: int, L: int, n: int
-) -> Optional[tuple[int, ...]]:
-    if len(words) < L:
-        return None
-    threshold = n * p
+) -> tuple[Optional[tuple[int, ...]], float]:
+    """First L-subset with average radius <= n*p, and the least radius seen.
+
+    When no subset is bad the scan has seen them all, so the least radius is
+    the minimum over the code (inf below L words).
+    """
+    least, threshold = math.inf, n * p
     for idxs in combinations(range(len(words)), L):
-        if average_radius_ell([words[i] for i in idxs], ell) <= threshold:
-            return idxs
-    return None
+        radius = average_radius_ell([words[i] for i in idxs], ell)
+        least = min(least, radius)
+        if radius <= threshold:
+            return idxs, least
+    return None, least
 
 
 def random_expurgated_code(
@@ -194,7 +199,7 @@ def random_expurgated_code(
         raise ValueError(f"need p in [0,1], got {p}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if target_rate <= 0.0:
+    if not target_rate > 0.0:
         raise ValueError(f"need target_rate > 0, got {target_rate}")
     q, ell, L = params.q, params.ell, params.L
     target_size = math.ceil(float(q) ** (n * target_rate))
@@ -205,19 +210,13 @@ def random_expurgated_code(
 
     removed = 0
     while True:
-        bad = _first_bad_subset(words, p, ell, L, n)
+        bad, min_avg = _first_bad_subset(words, p, ell, L, n)
         if bad is None:
             break
         victim = max(words[i] for i in bad)
         words.remove(victim)
         removed += 1
 
-    min_avg = math.inf
-    if len(words) >= L:
-        min_avg = min(
-            average_radius_ell([words[i] for i in idxs], ell)
-            for idxs in combinations(range(len(words)), L)
-        )
     code = Code(q, n, tuple(words))
     report = ExpurgationReport(
         n, target_rate, seed, target_size, distinct_size, len(words), removed, min_avg

@@ -50,6 +50,20 @@ def ref_tail_mass_coefficients(q, ell, L):
     return tuple(c)
 
 
+def ref_slice_bernstein(q, ell, L, order):
+    """Bernstein coefficients of the order-th derivative of g, as floats of exact Fractions.
+
+    beta_k = c_(L-k) / (C(L,k) (q-ell)^k ell^(L-k)), differenced order times
+    and scaled by L!/(L-order)!.
+    """
+    c = ref_tail_mass_coefficients(q, ell, L)
+    beta = [Fraction(c[L - k], math.comb(L, k) * (q - ell) ** k * ell ** (L - k))
+            for k in range(L + 1)]
+    for _ in range(order):
+        beta = [b - a for a, b in zip(beta, beta[1:])]
+    return [float(math.perm(L, order) * b) for b in beta]
+
+
 def ref_plurality_count(x):
     return Counter(x).most_common(1)[0][1]
 

@@ -23,14 +23,15 @@ from lrbounds import (
     zero_rate_threshold,
 )
 
-from lrbounds.analysis import _gradient_table, _hessian_table, _tail_mass_coefficients
-from lrbounds.compositions import composition_table
+from lrbounds.analysis import _slice_bernstein, _tail_mass_coefficients
+from lrbounds.compositions import _top_ell_table, composition_table
 
 from reference import (
     central_diff,
     ref_f,
     ref_f_gradient,
     ref_f_hessian,
+    ref_slice_bernstein,
     ref_tail_mass_coefficients,
     ref_top_ell,
     second_central_diff,
@@ -65,6 +66,8 @@ def test_distribution_validation():
         Distribution((0.5, 0.6))
     with pytest.raises(ValueError):
         Distribution((1.2, -0.2))
+    with pytest.raises(ValueError):
+        Distribution((math.nan, 0.5, 0.5))
     d = Distribution.uniform(3)
     assert d.as_array() == pytest.approx(np.full(3, 1 / 3))
     # tiny negative noise is clipped, not rejected
@@ -245,22 +248,35 @@ def test_tail_mass_coefficients_match_brute_force():
 
 
 def test_plus_tables_match_sorted_route():
-    # _gradient_table[k, j] = top_ell(a + e_j), _hessian_table[k, i, j] = top_ell(a + e_i + e_j)
+    # column j_1 q^(k-1) + ... + j_k of the order-k table holds top_ell(a + e_(j_1) + ... + e_(j_k))
     sets = [(q, ell, L) for q in range(2, 6) for L in range(2, 7) for ell in range(1, q)]
     for q, ell, L in sets + [(8, 2, 10)]:
-        plus = _gradient_table(q, ell, L)
-        for a, row in zip(composition_table(q, L - 1, ell).counts.tolist(), plus):
+        top = _top_ell_table(q, ell, L, 0)
+        assert top.shape == (len(composition_table(q, L).counts), 1)
+        for a, row in zip(composition_table(q, L).counts.tolist(), top):
+            assert row.tolist() == [ref_top_ell(a, ell)]
+        plus = _top_ell_table(q, ell, L - 1, 1)
+        for a, row in zip(composition_table(q, L - 1).counts.tolist(), plus):
             want = [ref_top_ell(a[:j] + [a[j] + 1] + a[j + 1 :], ell) for j in range(q)]
             assert row.tolist() == want
-        plus2 = _hessian_table(q, ell, L)
+        plus2 = _top_ell_table(q, ell, L - 2, 2).reshape(-1, q, q)
         assert np.array_equal(plus2, plus2.transpose(0, 2, 1))
-        for a, block in zip(composition_table(q, L - 2, ell).counts.tolist(), plus2):
+        for a, block in zip(composition_table(q, L - 2).counts.tolist(), plus2):
             for i in range(q):
                 for j in range(i, q):
                     b = list(a)
                     b[i] += 1
                     b[j] += 1
                     assert block[i, j] == ref_top_ell(b, ell)
+
+
+def test_slice_bernstein_is_the_rounded_exact_value():
+    # each float is the exact Fraction difference rounded once
+    sets = [(q, ell, L) for q in range(2, 9) for L in range(2, 9) for ell in range(1, q)]
+    for q, ell, L in sets + [(3, 1, 40), (2, 1, 300), (2, 1, 1100)]:
+        for order in range(3):
+            got = _slice_bernstein(q, ell, L, order).tolist()
+            assert got == ref_slice_bernstein(q, ell, L, order), (q, ell, L, order)
 
 
 def test_G_ell_known_values():

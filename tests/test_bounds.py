@@ -432,6 +432,17 @@ def test_eta_q_known_values():
     assert eta_q(3, x) == pytest.approx(want, rel=1e-12)
 
 
+def test_nan_inputs_raise():
+    with pytest.raises(ValueError):
+        eta_q(2, [math.nan])
+    with pytest.raises(ValueError):
+        eta_q(3, [0.2, math.nan])
+    with pytest.raises(ValueError):
+        comparison_ry_binary4(math.nan)
+    with pytest.raises(ValueError):
+        comparison_ry_qary3(3, math.nan)
+
+
 def test_bound_curve_validation():
     c = BoundCurve("lower", ((0.0, 1.0), (0.1, 0.5), (0.2, 0.0)))
     assert len(c.points) == 3

@@ -13,7 +13,7 @@ from lrbounds import (
     max_ell_partial_sum,
     multinomial,
 )
-from lrbounds.compositions import _top_ell_plus_unit
+from lrbounds.compositions import _top_ell_plus_unit, _top_ell_table
 
 from reference import ref_compositions, ref_multinomial, ref_top_ell
 
@@ -40,9 +40,9 @@ def test_enumeration_rejects_bad_arguments():
     with pytest.raises(ValueError):
         list(enumerate_compositions(2, -1))
     with pytest.raises(ValueError):
-        composition_table(0, 3, 1)
+        composition_table(0, 3)
     with pytest.raises(ValueError):
-        composition_table(2, -1, 1)
+        composition_table(2, -1)
 
 
 def test_composition_validates_entries():
@@ -112,10 +112,6 @@ def test_max_ell_partial_sum_rejects_bad_ell():
         max_ell_partial_sum((1, 2), 0)
     with pytest.raises(ValueError):
         max_ell_partial_sum((1, 2), 3)
-    with pytest.raises(ValueError):
-        composition_table(2, 3, 0)
-    with pytest.raises(ValueError):
-        composition_table(2, 3, 3)
 
 
 def test_majorizes_known_chain():
@@ -149,23 +145,28 @@ def test_majorizes_reflexive(a):
 
 
 def test_composition_table_contents():
-    for q, m, ell in [(2, 3, 1), (3, 4, 2), (4, 5, 3), (1, 4, 1), (5, 0, 2), (8, 9, 2), (6, 7, 6)]:
-        tab = composition_table(q, m, ell)
+    for q, m in [(2, 3), (3, 4), (4, 5), (1, 4), (5, 0), (8, 9), (6, 7)]:
+        tab = composition_table(q, m)
         comps = list(enumerate_compositions(q, m))
         assert tab.counts.shape == (len(comps), q)
         assert [tuple(row) for row in tab.counts] == [c.entries for c in comps]
         assert tab.counts.sum(axis=1).tolist() == [m] * len(comps)
         for k, c in enumerate(comps):
             assert tab.log_multinomials[k] == math.log(multinomial(m, c))
-            assert tab.top_ell[k] == float(max_ell_partial_sum(c, ell))
         assert (tab.exponents == tab.counts).all()
 
 
 def test_composition_table_read_only_and_cached():
-    tab = composition_table(3, 3, 1)
-    assert tab is composition_table(3, 3, 1)
+    tab = composition_table(3, 3)
+    assert tab is composition_table(3, 3)
     with pytest.raises(ValueError):
         tab.counts[0, 0] = 5
+    for order in range(3):
+        top = _top_ell_table(3, 2, 3, order)
+        assert top is _top_ell_table(3, 2, 3, order)
+        assert top.shape == (len(tab.counts), 3**order)
+        with pytest.raises(ValueError):
+            top[0, 0] = 5.0
 
 
 @settings(max_examples=30)
@@ -173,7 +174,7 @@ def test_composition_table_read_only_and_cached():
 @example(2, 1100)  # C(1100, 550) is about 1e330, beyond float
 def test_table_multinomials_sum_property(q, m):
     # sum over A_{q,m} of multinomials is q^m, checked as a logsumexp
-    logs = composition_table(q, m, 1).log_multinomials
+    logs = composition_table(q, m).log_multinomials
     top = float(logs.max())
     total = top + math.log(math.fsum(np.exp(logs - top)))
     assert math.isclose(total, m * math.log(q), rel_tol=1e-12, abs_tol=0.0)

@@ -131,6 +131,12 @@ def test_check_validates_arguments():
         check_list_recoverable(code, 0.1, 1, 1)
 
 
+def _brute_min_avg_radius(code, params):
+    # least average radius over every L-subset of the final code
+    subsets = itertools.combinations(code.words, params.L)
+    return min((average_radius_ell(list(s), params.ell) for s in subsets), default=math.inf)
+
+
 def test_expurgation_reference_instance():
     params = Params(2, 1, 2)
     for seed in (1, 2, 3):
@@ -140,6 +146,7 @@ def test_expurgation_reference_instance():
         assert rep.achieved_size == rep.distinct_size - rep.removed_count
         if not math.isinf(rep.min_avg_radius):
             assert rep.min_avg_radius > 30 * 0.1
+        assert rep.min_avg_radius == _brute_min_avg_radius(code, params)
         assert rep.achieved_size <= rep.target_size
         assert rep.achieved_rate(2) <= math.log(rep.target_size, 2) / 30 + 1e-12
 
@@ -150,6 +157,7 @@ def test_expurgation_deterministic_and_fully_checkable():
     code2, rep2 = random_expurgated_code(params, 0.1, 8, 0.25, seed=9)
     assert code1.words == code2.words
     assert rep1 == rep2
+    assert rep1.min_avg_radius == _brute_min_avg_radius(code1, params)
     ok, _ = check_list_recoverable(code1, 0.1, 1, 2)
     assert ok
 
@@ -159,10 +167,11 @@ def test_expurgation_removes_on_dense_instances():
     params = Params(2, 1, 2)
     removed = 0
     for seed in range(1, 6):
-        _, rep = random_expurgated_code(params, 0.45, 12, 0.3, seed)
+        code, rep = random_expurgated_code(params, 0.45, 12, 0.3, seed)
         removed += rep.removed_count
         if not math.isinf(rep.min_avg_radius):
             assert rep.min_avg_radius > 12 * 0.45
+        assert rep.min_avg_radius == _brute_min_avg_radius(code, params)
     assert removed > 0
 
 
