@@ -194,6 +194,15 @@ def _block_vector(q: int, ell: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _binomial_row(L: int) -> tuple[int, ...]:
+    """C(L, 0..L) by the exact int recurrence C(L, k+1) = C(L, k) (L - k) / (k + 1)."""
+    row = [1]
+    for k in range(L):
+        row.append(row[-1] * (L - k) // (k + 1))
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
 def _tail_mass_coefficients(q: int, ell: int, L: int) -> tuple[int, ...]:
     """Exact c_s = sum of C(L,a) * top_ell(a) over a in A_{q,L} with tail mass s.
 
@@ -202,12 +211,12 @@ def _tail_mass_coefficients(q: int, ell: int, L: int) -> tuple[int, ...]:
     top_ell is symmetric within each block, so c_s = C(L,s) sum n_h n_t top_ell(h, t)
     over sorted head orbits h of A_{q-ell,L-s} and tail orbits t of A_{ell,s}.
     """
-    c = []
+    c, binom = [], _binomial_row(L)
     for s in range(L + 1):
         tails = list(_orbits(ell, s))
         total = sum(n_h * n_t * sum(sorted(h + t)[-ell:])
                     for h, n_h in _orbits(q - ell, L - s) for t, n_t in tails)
-        c.append(math.comb(L, s) * total)
+        c.append(binom[s] * total)
     return tuple(c)
 
 
@@ -222,7 +231,8 @@ def _slice_bernstein(q: int, ell: int, L: int, order: int) -> np.ndarray:
     the degree, and one correctly rounded int division gives each float.
     """
     c = _tail_mass_coefficients(q, ell, L)
-    B = [c[L - k] // math.comb(L, k) * (q - ell) ** (L - k) * ell**k for k in range(L + 1)]
+    binom = _binomial_row(L)
+    B = [c[L - k] // binom[k] * (q - ell) ** (L - k) * ell**k for k in range(L + 1)]
     for _ in range(order):
         B = [b - a for a, b in zip(B, B[1:])]
     scale, den = math.perm(L, order), ((q - ell) * ell) ** L

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .analysis import g, lipschitz_g
+from .analysis import g, g_prime, lipschitz_g
 from .compositions import _orbits
 from .params import Params
 
@@ -51,6 +51,8 @@ __all__ = [
 LAMBDA_CAP = 1e6
 LAMBDA_RESIDUAL = 1e-10
 LAMBDA_RELATIVE = 1e-6  # residual bound relative to p, for p below 1e-4
+EB_W_TOL = 1e-15  # accuracy of the entropy-inversion w
+NEWTON_EVALUATIONS = 200  # more than bisection to EB_W_TOL or down to adjacent floats takes
 
 
 # --- thresholds -----------------------------------------------------------
@@ -102,8 +104,8 @@ def _entropy(q: int, ell: int, w: float) -> float:
         raise ValueError(f"need w in [0,1], got {w}")
     lnq = math.log(q)
     out = 0.0
-    if w > 0.0:
-        out += w * math.log((q - ell) / w) / lnq
+    if w > 0.0:  # a difference of logs: (q - ell)/w overflows for subnormal w
+        out += w * (math.log(q - ell) - math.log(w)) / lnq
     if w < 1.0:
         out += (1.0 - w) * math.log(ell / (1.0 - w)) / lnq
     return out
@@ -156,9 +158,10 @@ def _rate_at_zero(params: Params) -> float:
 class FixedPointResult:
     """Solution of tilted_mean(lam) = p.
 
-    lambda_star is math.inf when p = 0, or when the tilted mean at the bracket
-    cap 1e6 is still above p (at (2,1,1100) it is 2.2e-274); then the rate is
-    the exact lam -> inf limit and residual the limiting gap p - 0.
+    iterations counts the tilted-mean evaluations of the solve (0 at p = 0).
+    lambda_star is math.inf when p = 0, or when the tilted mean at the cap
+    1e6 is still above p (at (2,1,1100) it is 2.2e-274); then the rate is the
+    exact lam -> inf limit and residual the limiting gap p - 0.
     """
 
     lambda_star: float
@@ -167,43 +170,85 @@ class FixedPointResult:
     residual: float
 
 
+def _safeguarded_newton(
+    fn: Callable[[float], tuple[float, float, bool, Any]], lo: float, hi: float, x: float,
+    xtol: float = 0.0,
+) -> tuple[float, Any, int]:
+    """Root of a residual that decreases on [lo, hi], by Newton steps kept inside a bracket.
+
+    fn(x) evaluates once and returns (residual, slope, done, value); done says
+    x meets the caller's stopping rule.  The residual's sign moves lo or hi
+    to x.  The Newton step x - residual/slope is taken when slope < 0 and it
+    lands strictly inside [lo, hi]; a step at or past an hi never evaluated
+    goes to hi, so that end is evaluated at most once; any other step bisects,
+    geometrically when lo > 0 and hi > 4 lo, else arithmetically (the
+    "rtsafe" hybrid of Numerical Recipes).  Returns (x, value, evaluations)
+    of the first done iterate, or of the best one once hi - lo < xtol, and
+    raises ArithmeticError after NEWTON_EVALUATIONS evaluations without either.
+    """
+    hi_open = True
+    best = (math.inf, x, None)
+    for evaluations in range(1, NEWTON_EVALUATIONS + 1):
+        r, slope, done, value = fn(x)
+        if done:
+            return x, value, evaluations
+        if abs(r) <= best[0]:
+            best = (abs(r), x, value)
+        if r > 0.0:
+            lo = x
+        else:
+            hi, hi_open = x, False
+        if hi - lo < xtol:
+            return best[1], best[2], evaluations
+        step = x - r / slope if slope < 0.0 else math.nan
+        if lo < step < hi:
+            x = step
+        elif step >= hi and hi_open:
+            x = hi
+        elif lo > 0.0 and hi > 4.0 * lo:
+            x = math.sqrt(lo * hi)
+        else:
+            x = 0.5 * (lo + hi)
+    raise ArithmeticError(f"Newton inversion stalled at residual {best[0]:.3e}")
+
+
 def solve_lambda_star(params: Params, p: float) -> FixedPointResult:
-    """Bisect the decreasing tilted mean to residual <= min(1e-10, 1e-6 p), unless at the marker."""
+    """lam* with tilted_mean(lam*) = p to residual <= min(1e-10, 1e-6 p), by safeguarded Newton.
+
+    Newton runs on ln tilted_mean(lam) - ln p over [0, 1e6] from lam = 1,
+    with slope -ln q Var_lam(rho) / mean; mean, variance and log E[q^(-lam rho)]
+    all come from one tilt of the radius law.  About 4-7 evaluations per
+    point; the cap is evaluated at most once.
+    """
     pstar = zero_rate_threshold(params)
     if not 0.0 <= p < pstar:
         raise ValueError(f"need 0 <= p < p* = {pstar}, got {p}")
     if p == 0.0:
         return FixedPointResult(math.inf, _rate_at_zero(params), 0, 0.0)
 
-    lo, hi = 0.0, 1.0
-    iterations = 0
-    while tilted_mean(params, hi) > p:
-        lo, hi = hi, hi * 2.0
-        iterations += 1
-        if hi > LAMBDA_CAP:
-            return FixedPointResult(math.inf, _rate_at_zero(params), iterations, p)
-
-    lam = hi
-    residual = abs(tilted_mean(params, lam) - p)
-    tol = min(LAMBDA_RESIDUAL, LAMBDA_RELATIVE * p)
-    while residual > tol and iterations < 500:
-        mid = 0.5 * (lo + hi)
-        r = tilted_mean(params, mid) - p
-        if abs(r) <= residual:
-            lam, residual = mid, abs(r)
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    if residual > tol:
-        raise ArithmeticError(
-            f"lambda* bisection stalled at residual {residual:.3e} for p={p}"
-        )
     lnq = math.log(params.q)
-    exponent = -lam * p - _tilt(params, lam)[2] / lnq
+    tol = min(LAMBDA_RESIDUAL, LAMBDA_RELATIVE * p)
+
+    def log_residual(lam: float):
+        rho, tw, log_z = _tilt(params, lam)
+        total = tw.sum()
+        mean = float((tw @ rho) / total)  # as tilted_mean forms it
+        gap = mean - p
+        done = abs(gap) <= tol or (lam >= LAMBDA_CAP and gap > 0.0)
+        if not mean > 0.0:  # every weight off rho = 0 underflowed
+            return -math.inf, math.nan, done, (gap, log_z)
+        var = float((tw @ (rho - mean) ** 2) / total)
+        return math.log(mean) - math.log(p), -lnq * var / mean, done, (gap, log_z)
+
+    try:
+        lam, (gap, log_z), evaluations = _safeguarded_newton(log_residual, 0.0, LAMBDA_CAP, 1.0)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"lambda* {exc} for p={p}") from None
+    if gap > tol:  # still above p at the cap
+        return FixedPointResult(math.inf, _rate_at_zero(params), evaluations, p)
+    exponent = -lam * p - log_z / lnq
     rate = max(0.0, exponent / (params.L - 1))
-    return FixedPointResult(lam, rate, iterations, residual)
+    return FixedPointResult(lam, rate, evaluations, abs(gap))
 
 
 def lower_bound_rate(params: Params, p: float) -> float:
@@ -222,23 +267,27 @@ def eb_upper_bound_rate(params: Params, p: float) -> float:
     """Entropy inversion of the sliced threshold on [0, (q-ell)/q].
 
     Defined for 0 <= p < p*; at p = 0 the exact endpoint log_q(q/ell) is
-    returned (w = 0).
+    returned (w = 0).  w solves g(w) = L(1 - p), i.e. p_star_w(w) = p, to
+    1e-15 by safeguarded Newton with slope g'(w) (where g' >= 0 it bisects).
+    It starts from the root of the quadratic model of g with g(0) = L,
+    g(w*) = L(1 - p*) and g'(w*) = 0, and takes about 4-6 evaluations of g
+    and g' per point.
     """
     pstar = zero_rate_threshold(params)
     if not 0.0 <= p < pstar:
         raise ValueError(f"need 0 <= p < p* = {pstar}, got {p}")
     if p == 0.0:
         return 1.0 - math.log(params.ell) / math.log(params.q)
-    lo, hi = 0.0, params.w_star
-    for _ in range(200):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        if p_star_w(params, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    w = 0.5 * (lo + hi)
+    target = params.L * (1.0 - p)
+
+    def residual(w: float):
+        r, slope = g(params, w) - target, g_prime(params, w)
+        return r, slope, abs(r) <= -EB_W_TOL * slope, None
+
+    # root of the quadratic through g(0) = L, g(w*) = L(1 - p*) with g'(w*) = 0
+    x = p / pstar
+    start = params.w_star * x / (1.0 + math.sqrt(1.0 - x))
+    w = _safeguarded_newton(residual, 0.0, params.w_star, start, EB_W_TOL)[0]
     return max(0.0, 1.0 - entropy_q_ell(params, w))
 
 

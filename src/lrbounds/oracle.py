@@ -191,6 +191,9 @@ def random_expurgated_code(
 ) -> tuple[Code, ExpurgationReport]:
     """Sample ceil(q^(n*rate)) words and expurgate bad L-subsets.
 
+    Raises BudgetExceededError before sampling when q^(n*rate) exceeds
+    POINT_BUDGET words.
+
     A subset is bad when its average lr-radius is <= n*p; its
     lexicographically largest codeword is removed and the scan restarts,
     until every L-subset has average radius strictly above n*p.
@@ -202,6 +205,10 @@ def random_expurgated_code(
     if not target_rate > 0.0:
         raise ValueError(f"need target_rate > 0, got {target_rate}")
     q, ell, L = params.q, params.ell, params.L
+    if n * target_rate * math.log(q) > math.log(POINT_BUDGET):  # before q^(n rate) is formed
+        raise BudgetExceededError(
+            f"{q}^({n}*{target_rate}) words exceed the budget of {POINT_BUDGET}"
+        )
     target_size = math.ceil(float(q) ** (n * target_rate))
     rng = np.random.default_rng(seed)
     draws = rng.integers(1, q + 1, size=(target_size, n))

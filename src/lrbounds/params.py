@@ -20,7 +20,11 @@ class Params:
 
     def __post_init__(self) -> None:
         for name, value in (("q", self.q), ("ell", self.ell), ("L", self.L)):
-            if int(value) != value:
+            try:
+                whole = int(value) == value
+            except (OverflowError, ValueError):  # inf, NaN
+                whole = False
+            if not whole:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.q < 2:

@@ -303,3 +303,60 @@ def ref_polytope_min(objective, cap, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6), width
         lo1, up1 = max(0.0, b1 - width * h), min(hi1, b1 + width * h)
         lo2, up2 = max(0.0, b2 - width * h), min(hi2, b2 + width * h)
     return best
+
+
+def ref_lambda_star_rate(q, L, N, p):
+    """Random-coding rate at p by bisection of the tilted mean, from the radius law N.
+
+    N[t] counts the tuples of [q]^L whose ell-plurality is t, so rho = 1 - t/L
+    has P(rho_t) = N[t] / q^L.  The bracket doubles from [0, 1] and, past a
+    cap of 1e6, the rate is the lam -> inf limit (L - log_q N[L]) / (L - 1);
+    otherwise lam* is bisected until the midpoint stops moving.
+    """
+    lnq = math.log(q)
+    if p == 0.0:
+        return (L - math.log(N[L]) / lnq) / (L - 1)
+    ts = [t for t, n in enumerate(N) if n]
+    rho = np.array([1.0 - t / L for t in ts])
+    log_p = np.array([math.log(N[t]) - L * lnq for t in ts])
+
+    def tilted(lam):
+        x = log_p - lam * rho * lnq
+        m = float(x.max())
+        w = np.exp(x - m)
+        return math.fsum(w * rho) / math.fsum(w), m + math.log(math.fsum(w))
+
+    lo, hi = 0.0, 1.0
+    while tilted(hi)[0] > p:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6:
+            return (L - math.log(N[L]) / lnq) / (L - 1)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if tilted(mid)[0] > p:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return max(0.0, (-mid * p - tilted(mid)[1] / lnq) / (L - 1))
+
+
+def ref_eb_rate(q, ell, L, p, g):
+    """Entropy-inversion rate at p by bisection of g(w) = L(1 - p) on [0, (q-ell)/q].
+
+    g is the sliced moment function as a callable of w, non-increasing on
+    the interval; w is bisected to a bracket of 1e-15 and the rate is
+    1 - H_{q,ell}(w) at its midpoint, log_q(q/ell) at p = 0.
+    """
+    if p == 0.0:
+        return 1.0 - math.log(ell) / math.log(q)
+    lo, hi = 0.0, (q - ell) / q
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > L * (1.0 - p):
+            lo = mid
+        else:
+            hi = mid
+    w = 0.5 * (lo + hi)
+    h = (w * math.log((q - ell) / w) if w > 0.0 else 0.0) + (1.0 - w) * math.log(ell / (1.0 - w))
+    return max(0.0, 1.0 - h / math.log(q))

@@ -23,7 +23,7 @@ from lrbounds import (
     zero_rate_threshold,
 )
 
-from lrbounds.analysis import _slice_bernstein, _tail_mass_coefficients
+from lrbounds.analysis import _binomial_row, _slice_bernstein, _tail_mass_coefficients
 from lrbounds.compositions import _top_ell_table, composition_table
 
 from reference import (
@@ -59,6 +59,18 @@ def test_params_validation():
     with pytest.raises(ValueError):
         Params(3, 1, 1)
     assert Params(4, 3, 2).w_star == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 2.5])
+def test_params_non_integers_name_the_field(value):
+    for field, args in (("q", (value, 1, 2)), ("ell", (3, value, 2)), ("L", (3, 1, value))):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            Params(*args)
+
+
+def test_binomial_row_is_exact():
+    for L in (0, 1, 2, 7, 300, 1100):
+        assert _binomial_row(L) == tuple(math.comb(L, k) for k in range(L + 1))
 
 
 def test_distribution_validation():

@@ -20,6 +20,7 @@ from lrbounds import (
     entropy_q,
     entropy_q_ell,
     eta_q,
+    g,
     lipschitz_g,
     lower_bound_rate,
     lr_ball_volume,
@@ -32,14 +33,17 @@ from lrbounds import (
     unconstrained_multiplier,
     zero_rate_threshold,
 )
+from lrbounds import bounds
 from lrbounds.analysis import _tail_mass_coefficients
-from lrbounds.bounds import _radius_law
+from lrbounds.bounds import _radius_law, _safeguarded_newton
 
 from reference import (
     ref_ball_count,
     ref_binary_lower_rate,
     ref_degenerate_count,
+    ref_eb_rate,
     ref_eta,
+    ref_lambda_star_rate,
     ref_lr_ball_count,
     ref_mgf,
     ref_polytope_min,
@@ -153,6 +157,15 @@ def test_entropy_values():
     )
     # ell=1 slicing agrees with the plain q-ary entropy
     assert entropy_q_ell(Params(3, 1, 2), 0.4) == pytest.approx(entropy_q(3, 0.4))
+    # subnormal w: w log2(1/w), not inf from overflowing 1/w
+    assert entropy_q(2, 1e-310) == pytest.approx(1e-310 * 310 * math.log2(10), rel=1e-12)
+
+
+def test_upper_bound_at_subnormal_p_is_the_endpoint():
+    for params in (Params(2, 1, 3), Params(8, 2, 10), Params(3, 2, 3)):
+        endpoint = eb_upper_bound_rate(params, 0.0)
+        for p in (5e-324, 1e-310):
+            assert eb_upper_bound_rate(params, p) == pytest.approx(endpoint, abs=1e-12)
 
 
 @pytest.mark.parametrize("params", SMALL_PARAMS)
@@ -216,6 +229,88 @@ def test_fixed_point_rejects_out_of_range():
         solve_lambda_star(params, pstar)
     with pytest.raises(ValueError):
         solve_lambda_star(params, -0.1)
+
+
+INVERSION_SETS = [
+    Params(q, ell, L) for q in range(2, 6) for ell in range(1, q) for L in range(max(2, ell + 1), 7)
+] + [Params(8, 2, 10), Params(2, 1, 300), Params(3, 1, 300), Params(2, 1, 1100)]
+
+
+@pytest.mark.parametrize("params", INVERSION_SETS, ids=str)
+def test_newton_rates_match_reference_bisections(params):
+    q, ell, L = params.q, params.ell, params.L
+    pstar = zero_rate_threshold(params)
+    N = _radius_law(q, ell, L)[0]
+    fracs = [1e-9, 1e-4, 1e-2] + [k / 13 for k in range(1, 13)] + [1.0 - 1e-7]
+    for p in (pstar * x for x in fracs):
+        res = solve_lambda_star(params, p)
+        assert res.residual <= min(1e-10, 1e-6 * p)
+        assert res.rate == pytest.approx(ref_lambda_star_rate(q, L, N, p), abs=1e-12), p
+        want = ref_eb_rate(q, ell, L, p, lambda w: g(params, w))
+        assert eb_upper_bound_rate(params, p) == pytest.approx(want, abs=1e-12), p
+
+
+def test_newton_takes_few_evaluations(monkeypatch):
+    g_calls = []
+    monkeypatch.setattr(bounds, "g", lambda params, w: g_calls.append(w) or g(params, w))
+    for params in (Params(8, 2, 10), Params(2, 1, 1100)):
+        ps = [zero_rate_threshold(params) * k / 64 for k in range(1, 64)]
+        evaluations = [solve_lambda_star(params, p).iterations for p in ps]
+        assert np.mean(evaluations) <= 8.0 and max(evaluations) <= 10
+        g_calls.clear()
+        for p in ps:
+            eb_upper_bound_rate(params, p)
+        assert len(g_calls) / len(ps) <= 8.0
+
+
+def test_lambda_cap_is_evaluated_once():
+    params = Params(2, 1, 1100)
+    res = solve_lambda_star(params, 1e-300)
+    assert math.isinf(res.lambda_star)
+    assert res.iterations <= 20
+    assert res.rate == lower_bound_rate(params, 0.0)
+
+
+def test_safeguarded_newton_bisects_where_slope_is_not_negative():
+    seen = []
+
+    def fn(x):  # 1 - x^2 on [0, 2]: slope 0 at the start x = 0
+        seen.append(x)
+        r = 1.0 - x * x
+        return r, -2.0 * x, abs(r) <= 1e-12, x
+
+    x, value, evaluations = _safeguarded_newton(fn, 0.0, 2.0, 0.0)
+    assert seen == [0.0, 1.0] and x == value == 1.0 and evaluations == 2
+    seen.clear()
+
+    def rising(x):  # a positive slope is never followed either
+        seen.append(x)
+        return 0.5 - x, 1.0, abs(0.5 - x) <= 1e-12, None
+
+    assert _safeguarded_newton(rising, 0.0, 1.0, 0.0)[0] == 0.5
+    assert seen == [0.0, 0.5]
+
+
+def test_safeguarded_newton_bisects_geometrically_on_wide_brackets():
+    seen = []
+
+    def flat(x):  # slope 0 everywhere: every step bisects
+        seen.append(x)
+        return math.log(10.0 / x), 0.0, abs(x - 10.0) <= 1e-9, None
+
+    assert _safeguarded_newton(flat, 0.0, 1e6, 1.0)[0] == pytest.approx(10.0, abs=1e-9)
+    assert seen[1:3] == [1e3, pytest.approx(10**1.5)]  # sqrt(lo hi) while hi > 4 lo
+
+
+def test_safeguarded_newton_stalls_or_stops_on_a_narrow_bracket():
+    # the sign flips at 0.3 with no root: the bracket shrinks to adjacent floats
+    def step_fn(x):
+        return (1.0 if x < 0.3 else -1.0), 0.0, False, None
+
+    with pytest.raises(ArithmeticError):
+        _safeguarded_newton(step_fn, 0.0, 1.0, 0.5)
+    x = _safeguarded_newton(step_fn, 0.0, 1.0, 0.5, 1e-15)[0]  # best iterate once narrower than xtol
+    assert abs(x - 0.3) < 1e-15
 
 
 def test_lower_bound_rate_zero_at_and_beyond_threshold():

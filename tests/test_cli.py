@@ -235,6 +235,16 @@ def test_oracle_expurgate_skips_full_check_over_budget():
     assert kv["full_check"] == "SKIPPED"
 
 
+def test_oracle_expurgate_over_budget_exit_4():
+    res = run_cli(
+        "oracle", "expurgate", "--q", "2", "--ell", "1", "--L", "2",
+        "--p", "0.1", "--n", "40", "--rate", "1",
+    )
+    assert res.returncode == 4
+    assert res.stdout == b""
+    assert b"budget" in res.stderr.lower() and b"Traceback" not in res.stderr
+
+
 def test_oracle_check_both_verdicts(tmp_path):
     good = tmp_path / "good.txt"
     write_code_file(str(good), Code(2, 4, ((1, 1, 1, 1), (2, 2, 2, 2))))

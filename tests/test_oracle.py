@@ -222,3 +222,14 @@ def test_budgets_are_enforced():
         check_list_recoverable(big, 0.1, 1, 2)
     with pytest.raises(BudgetExceededError):
         verify_covering(2, 24, ((1,) * 24,), 2)
+
+
+def test_expurgation_budget_is_checked_before_sampling(monkeypatch):
+    def no_sampling(seed):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        random_expurgated_code(Params(2, 1, 2), 0.1, 40, 1.0, seed=1)
+    with pytest.raises(BudgetExceededError):  # q^(n rate) would overflow a float
+        random_expurgated_code(Params(2, 1, 2), 0.1, 2000, 1.0, seed=1)
