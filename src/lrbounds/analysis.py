@@ -34,8 +34,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .compositions import (CompositionTable, _orbits, _top_ell_plus_unit, _top_ell_table,
-                           composition_table)
+from .compositions import CompositionTable, _top_ell_plus_unit, _top_ell_table, composition_table
+from .exact import _binomial_row, _tail_mass_coefficients
 from .params import Params
 
 __all__ = [
@@ -191,33 +191,6 @@ def _block_vector(q: int, ell: int) -> np.ndarray:
     v[: q - ell] = 1.0 / (q - ell)
     v[q - ell :] = -1.0 / ell
     return v
-
-
-@lru_cache(maxsize=None)
-def _binomial_row(L: int) -> tuple[int, ...]:
-    """C(L, 0..L) by the exact int recurrence C(L, k+1) = C(L, k) (L - k) / (k + 1)."""
-    row = [1]
-    for k in range(L):
-        row.append(row[-1] * (L - k) // (k + 1))
-    return tuple(row)
-
-
-@lru_cache(maxsize=None)
-def _tail_mass_coefficients(q: int, ell: int, L: int) -> tuple[int, ...]:
-    """Exact c_s = sum of C(L,a) * top_ell(a) over a in A_{q,L} with tail mass s.
-
-    The tail mass s(a) is the number of draws on the last ell symbols, so
-    g(w) = sum_s c_s (w/(q-ell))^(L-s) ((1-w)/ell)^s and sum_s c_s / q^L = f(uniform).
-    top_ell is symmetric within each block, so c_s = C(L,s) sum n_h n_t top_ell(h, t)
-    over sorted head orbits h of A_{q-ell,L-s} and tail orbits t of A_{ell,s}.
-    """
-    c, binom = [], _binomial_row(L)
-    for s in range(L + 1):
-        tails = list(_orbits(ell, s))
-        total = sum(n_h * n_t * sum(sorted(h + t)[-ell:])
-                    for h, n_h in _orbits(q - ell, L - s) for t, n_t in tails)
-        c.append(binom[s] * total)
-    return tuple(c)
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,13 @@
 """Zero-rate thresholds, rate bounds, entropies, and auxiliary constants.
 
-The threshold p* and its sliced generalization come from the moment
-functions in analysis; the lower rate bound is the random-coding exponent
-obtained by exponential tilting of the average-radius law, the upper bound
-is the entropy inversion of the sliced threshold.  Also here: exact and
-estimated ball volumes, covering-size bounds, the explicit list-size
-constants, and published comparison curves.
+The sliced threshold comes from the moment functions in analysis; the lower
+rate bound is the random-coding exponent obtained by exponential tilting of
+the average-radius law, the upper bound is the entropy inversion of the
+sliced threshold.  Also here: exact and estimated ball volumes,
+covering-size bounds and the explicit list-size constants.  The exact
+threshold p*, the radius-law counts, the entropies and the published
+comparison curves need no numpy and are defined in exact; they are
+imported here under their public names.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 from .analysis import g, g_prime, lipschitz_g
-from .compositions import _orbits
+from .exact import (_divergence_to_cap, _entropy, _radius_counts, _threshold,  # noqa: F401
+                    comparison_gmrsw, comparison_ry_binary4, comparison_ry_qary3, entropy_q,
+                    entropy_q_ell, eta_q, zero_rate_threshold)
 from .params import Params
 
 __all__ = [
@@ -62,65 +66,21 @@ NEWTON_EVALUATIONS = 200  # more than bisection to EB_W_TOL or down to adjacent 
 def _radius_law(q: int, ell: int, L: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Exact N_t = #{x in [q]^L with top_ell t}, the law of the radius rho = 1 - t/L.
 
-    Returns N and, on its support, rho_t and log P(rho_t) = log N_t - L log q.
+    Returns N (exact._radius_counts) and, on its support, rho_t and
+    log P(rho_t) = log N_t - L log q.
     """
-    N = [0] * (L + 1)
-    for a, n in _orbits(q, L):
-        N[sum(a[:ell])] += n
+    N = _radius_counts(q, ell, L)
     ts = [t for t, n in enumerate(N) if n]
     rho = 1.0 - np.array(ts, dtype=np.float64) / L
     log_p = np.array([math.log(N[t]) for t in ts]) - L * math.log(q)
     for arr in (rho, log_p):
         arr.flags.writeable = False
-    return tuple(N), rho, log_p
-
-
-@lru_cache(maxsize=None)
-def _threshold(q: int, ell: int, L: int) -> float:
-    total = L * q**L
-    return (total - sum(t * n for t, n in enumerate(_radius_law(q, ell, L)[0]))) / total
-
-
-def zero_rate_threshold(params: Params) -> float:
-    """p*(q, ell, L) = 1 - E[plurality_ell] / L under the uniform law.
-
-    Computed as an exact integer ratio S / (L * q^L), S = L q^L - sum_t t N_t
-    with N the radius law (the same integer as sum_s c_s behind g), before
-    the single float division.
-    """
-    return _threshold(params.q, params.ell, params.L)
+    return N, rho, log_p
 
 
 def p_star_w(params: Params, w: float) -> float:
     """Sliced threshold 1 - g(w)/L; equals zero_rate_threshold at w = (q-ell)/q."""
     return 1.0 - g(params, w) / params.L
-
-
-# --- entropies ------------------------------------------------------------
-
-
-def _entropy(q: int, ell: int, w: float) -> float:
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"need w in [0,1], got {w}")
-    lnq = math.log(q)
-    out = 0.0
-    if w > 0.0:  # a difference of logs: (q - ell)/w overflows for subnormal w
-        out += w * (math.log(q - ell) - math.log(w)) / lnq
-    if w < 1.0:
-        out += (1.0 - w) * math.log(ell / (1.0 - w)) / lnq
-    return out
-
-
-def entropy_q(q: int, w: float) -> float:
-    """q-ary entropy; 1 at w = (q-1)/q, 0 at w = 0."""
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    return _entropy(q, 1, w)
-
-
-def entropy_q_ell(params: Params, w: float) -> float:
-    """List-recovery entropy; log_q(ell) at 0, 1 at (q-ell)/q, log_q(q-ell) at 1."""
-    return _entropy(params.q, params.ell, w)
 
 
 # --- tilted average-radius law and the lower bound ------------------------
@@ -411,71 +371,6 @@ def covering_size_bound_lr(params: Params, n: int, w: float) -> float:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return _covering_size(params.q, params.ell, n, w)
-
-
-# --- published comparison curves -------------------------------------------
-
-
-def eta_q(q: int, xs: Sequence[float]) -> float:
-    """sum x_i log_q(1/x_i) + (1 - sum x_i) log_q(1/(1 - sum x_i))."""
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    vals = [float(x) for x in xs]
-    if not all(x >= 0.0 for x in vals):
-        raise ValueError(f"need non-negative entries, got {vals}")
-    s = math.fsum(vals)
-    if not s <= 1.0 + 1e-12:
-        raise ValueError(f"entries sum to {s} > 1")
-    lnq = math.log(q)
-    out = 0.0
-    for x in vals + [max(0.0, 1.0 - s)]:
-        if x > 0.0:
-            out -= x * math.log(x) / lnq
-    return out
-
-
-def comparison_gmrsw(p: float) -> float:
-    """Binary (ell=1, L=3) curve (1/2)(2 - H_2(3p) - 3p log2(3)); needs 3p <= 1."""
-    if not 0.0 <= 3.0 * p <= 1.0:
-        raise ValueError(f"need 0 <= p <= 1/3, got {p}")
-    return 0.5 * (2.0 - entropy_q(2, 3.0 * p) - 3.0 * p * math.log2(3.0))
-
-
-def _divergence_to_cap(u1: float, u2: float, cap: float) -> float:
-    """min D(x || pi) in nats over {x1, x2 >= 0, x1 + 2 x2 <= cap, x1 + x2 <= 1}.
-
-    pi = (1, u1, u2)/(1 + u1 + u2) on weights 0, 1, 2, x0 = 1 - x1 - x2.  The
-    minimiser is the Gibbs tilt x_i ~ pi_i t^i: t = 1 if pi meets the cap,
-    else the positive root of (2 - cap) u2 t^2 + (1 - cap) u1 t - cap = 0,
-    with divergence cap ln t - ln Z(t), Z(t) = sum_i pi_i t^i.
-    """
-    if cap * (1.0 + u1 + u2) >= u1 + 2.0 * u2:
-        return 0.0
-    if cap == 0.0:
-        return math.log1p(u1 + u2)  # x = 0: the t -> 0 limit
-    a, b = (2.0 - cap) * u2, (1.0 - cap) * u1
-    root = math.sqrt(b * b + 4.0 * a * cap)
-    t = 2.0 * cap / (b + root) if b >= 0.0 else (root - b) / (2.0 * a)
-    return max(0.0, cap * math.log(t) - math.log((1.0 + t * (u1 + t * u2)) / (1.0 + u1 + u2)))
-
-
-def comparison_ry_binary4(p: float) -> float:
-    """Binary (ell=1, L=4) curve: (1/3) min over the two-weight relaxation."""
-    if not p >= 0.0:
-        raise ValueError(f"need p >= 0, got {p}")
-    # 3 - eta_2(x) - 2 x1 - log2(3) x2 = D(x || (1, 4, 3)/8) / ln 2
-    return _divergence_to_cap(4.0, 3.0, 4.0 * p) / (3.0 * math.log(2.0))
-
-
-def comparison_ry_qary3(q: int, p: float) -> float:
-    """q-ary (ell=1, L=3) curve: (1/2) min over the two-weight relaxation."""
-    if q < 3:
-        raise ValueError(f"need q >= 3, got {q}")
-    if not p >= 0.0:
-        raise ValueError(f"need p >= 0, got {p}")
-    # 2 - eta_q(x) - log_q(3(q-1)) x1 - log_q((q-1)(q-2)) x2 = D(x || (1, u1, u2)/q^2) / ln q
-    u1, u2 = 3.0 * (q - 1), float((q - 1) * (q - 2))
-    return _divergence_to_cap(u1, u2, 3.0 * p) / (2.0 * math.log(q))
 
 
 # --- emitted curves ---------------------------------------------------------

@@ -6,6 +6,12 @@ PASS, 2 invalid configuration, 3 certificate or check FAIL, 4 enumeration
 budget exceeded.  LRB_THREADS is accepted (it must be an integer) but has no
 effect: curve points cost well under a millisecond and run in one thread.
 
+Only the numpy-free modules (exact, params, metrics) are imported at the
+top; each subcommand imports what else it needs.  `lrb threshold` and the
+comparison curves (gmrsw, ry-binary-4, ry-qary-3) run on the exact layer
+alone and never load numpy; the lower and upper curves import bounds,
+certify imports analysis and the oracle commands import oracle.
+
 Usage sketch:
     lrb threshold --q 2 --ell 1 --L 2
     lrb curve --kind lower --q 2 --ell 1 --L 3 --pmax 0.25 --points 50
@@ -23,7 +29,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import analysis, bounds, oracle
+from . import exact
 from .metrics import Code
 from .params import Params
 
@@ -76,14 +82,20 @@ def write_code_file(path: str, code: Code) -> None:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
+    """p* from the radius law N; consistency: sum_t t N_t == sum_s c_s, both exact ints.
+
+    At w* the sliced law is uniform, so g(w*) = sum_s c_s / q^L and
+    p_star_w(w*) is the exact ratio (L q^L - sum_s c_s) / (L q^L).
+    """
     params = _params_from(args)
-    pstar = bounds.zero_rate_threshold(params)
-    wstar = params.w_star
-    via_slice = bounds.p_star_w(params, wstar)
-    ok = abs(pstar - via_slice) <= 1e-12
+    q, ell, L = params.q, params.ell, params.L
+    pstar = exact.zero_rate_threshold(params)
+    mass = sum(exact._tail_mass_coefficients(q, ell, L))
+    ok = sum(t * n for t, n in enumerate(exact._radius_counts(q, ell, L))) == mass
+    total = L * q**L
     print(f"{pstar:.12f}")
-    print(f"w_star={wstar:.12f}", file=sys.stderr)
-    print(f"p_star_w={via_slice:.12f}", file=sys.stderr)
+    print(f"w_star={params.w_star:.12f}", file=sys.stderr)
+    print(f"p_star_w={(total - mass) / total:.12f}", file=sys.stderr)
     print(f"consistency={'PASS' if ok else 'FAIL'}", file=sys.stderr)
     return 0 if ok else 3
 
@@ -94,7 +106,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _default_pmax(kind: str, params: Params | None) -> float:
     if kind in ("lower", "upper"):
         assert params is not None
-        return bounds.zero_rate_threshold(params)
+        return exact.zero_rate_threshold(params)
     if kind == "gmrsw":
         return 1.0 / 3.0
     if kind == "ry-binary-4":
@@ -106,8 +118,8 @@ def _curve_grid(pmin: float, pmax: float, points: int | None, step: float | None
     if not 0.0 <= pmin < pmax:
         raise ValueError(f"need 0 <= pmin < pmax, got pmin={pmin}, pmax={pmax}")
     if step is not None:
-        if step <= 0.0:
-            raise ValueError(f"need step > 0, got {step}")
+        if not 0.0 < step < math.inf:  # NaN fails too; a NaN step would never reach pmax
+            raise ValueError(f"need finite step > 0, got {step}")
         grid = []
         k = 0
         while True:
@@ -142,8 +154,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     grid = _curve_grid(args.pmin, pmax, args.points, args.step)
 
     if kind in ("lower", "upper"):
+        from . import bounds
+
         assert params is not None
-        pstar = bounds.zero_rate_threshold(params)
+        pstar = exact.zero_rate_threshold(params)
         kept = [p for p in grid if p <= pstar]
         if len(kept) < len(grid):
             print(
@@ -156,14 +170,14 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if kind == "lower":
         fn = lambda p: bounds.lower_bound_rate(params, p)  # noqa: E731
     elif kind == "upper":
-        pstar = bounds.zero_rate_threshold(params)
+        pstar = exact.zero_rate_threshold(params)
         fn = lambda p: 0.0 if p >= pstar else bounds.eb_upper_bound_rate(params, p)  # noqa: E731
     elif kind == "gmrsw":
-        fn = lambda p: max(0.0, bounds.comparison_gmrsw(p))  # noqa: E731
+        fn = lambda p: max(0.0, exact.comparison_gmrsw(p))  # noqa: E731
     elif kind == "ry-binary-4":
-        fn = lambda p: max(0.0, bounds.comparison_ry_binary4(p))  # noqa: E731
+        fn = lambda p: max(0.0, exact.comparison_ry_binary4(p))  # noqa: E731
     elif kind == "ry-qary-3":
-        fn = lambda p: max(0.0, bounds.comparison_ry_qary3(args.q, p))  # noqa: E731
+        fn = lambda p: max(0.0, exact.comparison_ry_qary3(args.q, p))  # noqa: E731
     else:
         raise ValueError(f"unknown curve kind {kind!r}")
 
@@ -192,6 +206,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from . import analysis
+
     params = _params_from(args)
     tol = args.tol
     schur = analysis.certify_schur(params, samples=args.samples, seed=args.seed, tolerance=tol)
@@ -222,9 +238,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_mc(args: argparse.Namespace) -> int:
+    from . import oracle
+
     params = _params_from(args)
     mean, stderr = oracle.estimate_threshold_mc(params, samples=args.samples, seed=args.seed)
-    closed = bounds.zero_rate_threshold(params)
+    closed = exact.zero_rate_threshold(params)
     z = abs(mean - closed) / stderr if stderr > 0 else math.inf
     print(f"samples={args.samples}")
     print(f"seed={args.seed}")
@@ -236,6 +254,8 @@ def _cmd_oracle_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_expurgate(args: argparse.Namespace) -> int:
+    from . import oracle
+
     params = _params_from(args)
     code, rep = oracle.random_expurgated_code(params, args.p, args.n, args.rate, args.seed)
     print(f"n={rep.n}")
@@ -253,7 +273,7 @@ def _cmd_oracle_expurgate(args: argparse.Namespace) -> int:
         ok, _ = oracle.check_list_recoverable(code, args.p, params.ell, params.L)
         print(f"full_check={'PASS' if ok else 'FAIL'}")
         full_ok = ok
-    except oracle.BudgetExceededError:
+    except exact.BudgetExceededError:
         print("full_check=SKIPPED")
         full_ok = True
     if args.save is not None:
@@ -262,6 +282,8 @@ def _cmd_oracle_expurgate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    from . import oracle
+
     code = read_code_file(args.code)
     ok, witness = oracle.check_list_recoverable(code, args.p, args.ell, args.L)
     print(f"q={code.q}")
@@ -347,7 +369,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except oracle.BudgetExceededError as exc:
+    except exact.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, ArithmeticError, OSError) as exc:

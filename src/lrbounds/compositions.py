@@ -3,23 +3,25 @@
 A composition is a length-q vector of non-negative integer counts with total
 m, an element of A_{q,m}.  Every closed-form sum downstream (moments and
 derivatives; symmetric ones such as thresholds, tilted means and g's
-coefficients over sorted orbits only) runs over one of these index sets, so
-three things are pinned here: the order (lexicographic, first coordinate
-descending), exactness (multinomials and orbit sizes are Python ints; a cached
-table holds the logs of exact ints and knows nothing of ell) and the top_ell
-tables of a + e_(j_1) + ... + e_(j_k) for derivatives of order k, all built
-by one cached function from one vectorized int kernel.
+coefficients over sorted orbits only, which exact enumerates without numpy)
+runs over one of these index sets, so three things are pinned here: the
+order (lexicographic, first coordinate descending), exactness (multinomials
+and orbit sizes are Python ints; a cached table holds the logs of exact ints
+and knows nothing of ell) and the top_ell tables of a + e_(j_1) + ... +
+e_(j_k) for derivatives of order k, all built by one cached function from
+one vectorized int kernel.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
+
+from .exact import _orbits  # noqa: F401  (defined in the exact layer, re-exported)
 
 __all__ = [
     "Composition",
@@ -205,23 +207,3 @@ def _top_ell_table(q: int, ell: int, m: int, order: int) -> np.ndarray:
     table.flags.writeable = False
     return table
 
-
-def _orbits(q: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (a, n) for each non-increasing a in A_{q,m}, first part descending.
-
-    n = q!/prod(mult!) * m!/prod(a_i!) counts the tuples in [q]^m whose
-    symbol counts sort to a; mult runs over the multiplicities in a.  The
-    multinomial is built as a product of binomials along the recursion.
-    """
-
-    def rec(parts: int, remaining: int, cap: int, prefix: tuple[int, ...], n: int):
-        if parts == 1:
-            yield prefix + (remaining,), n
-            return
-        # head >= ceil(remaining / parts) leaves room for parts - 1 parts <= head
-        for head in range(min(remaining, cap), -(-remaining // parts) - 1, -1):
-            yield from rec(parts - 1, remaining - head, head, prefix + (head,),
-                           n * math.comb(remaining, head))
-
-    for a, n in rec(q, m, m, (), 1):
-        yield a, n * (math.factorial(q) // math.prod(map(math.factorial, Counter(a).values())))

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .exact import BudgetExceededError
 from .metrics import Code, average_radius_ell, lr_distance, plurality_ell
 from .params import Params
 
@@ -33,10 +34,6 @@ __all__ = [
 
 CENTER_BUDGET = 10**6
 POINT_BUDGET = 10**7
-
-
-class BudgetExceededError(RuntimeError):
-    """Exhaustive enumeration would exceed the hard budget."""
 
 
 def _validate_words(xs: Sequence[Sequence[int]], q: int) -> tuple[int, int]:

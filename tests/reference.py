@@ -42,6 +42,24 @@ def ref_top_ell(a, ell):
     return sum(sorted(a, reverse=True)[:ell])
 
 
+def ref_orbits(q, m):
+    """[(a, n)] for the non-increasing a in A_{q,m}, first part descending, as a list.
+
+    n = q!/prod(mult!) * m!/prod(a_i!), with the multinomial as a product of
+    math.comb along the recursion and the multiplicities from a Counter.
+    """
+    def rec(parts, remaining, cap, prefix, n):
+        if parts == 1:
+            yield prefix + (remaining,), n
+            return
+        for head in range(min(remaining, cap), -(-remaining // parts) - 1, -1):
+            yield from rec(parts - 1, remaining - head, head, prefix + (head,),
+                           n * math.comb(remaining, head))
+
+    return [(a, n * (math.factorial(q) // math.prod(map(math.factorial, Counter(a).values()))))
+            for a, n in rec(q, m, m, (), 1)]
+
+
 def ref_tail_mass_coefficients(q, ell, L):
     """c_s = sum of multinomial(L, a) * top_ell(a) over a in A_{q,L} with s draws on the last ell symbols."""
     c = [0] * (L + 1)

@@ -97,6 +97,16 @@ def test_large_L_threshold_matches_exact_binomial_sum():
     assert p_star_w(params, params.w_star) == pytest.approx(want, abs=1e-12)
 
 
+POOL = [Params(*P) for P in [(2, 1, 3), (3, 1, 5), (4, 2, 6), (5, 2, 8), (6, 3, 8), (8, 2, 10),
+                             (3, 2, 3), (2, 1, 300), (3, 1, 300), (2, 1, 1100)]]
+
+
+def test_p_star_w_at_w_star_is_the_threshold():
+    # the float Bernstein kernel at w* against the exact integer ratio p*
+    for params in POOL:
+        assert abs(p_star_w(params, params.w_star) - zero_rate_threshold(params)) <= 1e-12, params
+
+
 def test_large_L_upper_bound_is_a_rate():
     params = Params(2, 1, 1100)
     pstar = zero_rate_threshold(params)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from lrbounds import Code
-from lrbounds.cli import read_code_file, write_code_file
+from lrbounds.cli import _curve_grid, read_code_file, write_code_file
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -161,6 +162,22 @@ def test_curve_step_grid():
     assert res.returncode == 0
     ps = [line.split(" ")[0] for line in res.stdout.decode().splitlines()]
     assert ps == ["0.000000", "0.050000", "0.100000", "0.150000", "0.200000"]
+
+
+def test_curve_grid_rejects_non_finite_step():
+    # a NaN step never passes pmax, so the grid used to grow without bound
+    for step, shown in [(math.nan, "nan"), (math.inf, "inf"), (0.0, "0.0"), (-0.1, "-0.1")]:
+        with pytest.raises(ValueError, match=f"need finite step > 0, got {shown}"):
+            _curve_grid(0.0, 0.25, None, step)
+    assert _curve_grid(0.0, 0.2, None, 0.1) == [0.0, 0.1, 0.2]
+
+
+def test_curve_nan_step_exit_2():
+    for step in ("nan", "inf"):
+        res = run_cli("curve", "--kind", "gmrsw", "--step", step)
+        assert res.returncode == 2
+        assert res.stdout == b""
+        assert f"error: need finite step > 0, got {step}".encode() in res.stderr
 
 
 def test_certify_pass_and_exit_codes():
