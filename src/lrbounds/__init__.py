@@ -17,74 +17,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCurve",
-    "BudgetExceededError",
-    "Code",
-    "Composition",
-    "ConvexityCertificate",
-    "Distribution",
-    "ExpurgationReport",
-    "FixedPointResult",
-    "G_ell",
-    "MonotonicityCertificate",
-    "Params",
-    "PlotkinConstants",
-    "SchurCertificate",
-    "SlicedDistribution",
-    "average_radius_ell",
-    "ball_volume",
-    "ball_volume_bounds",
-    "certify_convexity",
-    "certify_monotonicity_g",
-    "certify_schur",
-    "check_list_recoverable",
-    "comparison_gmrsw",
-    "comparison_ry_binary4",
-    "comparison_ry_qary3",
-    "composition_table",
-    "covering_size_bound",
-    "covering_size_bound_lr",
-    "eb_upper_bound_rate",
-    "entropy_q",
-    "entropy_q_ell",
-    "enumerate_compositions",
-    "estimate_threshold_mc",
-    "eta_q",
-    "exact_avg_radius_min",
-    "exact_radius_ell",
-    "f",
-    "f_gradient",
-    "f_hessian",
-    "g",
-    "g_prime",
-    "g_second",
-    "hamming_distance",
-    "hamming_weight",
-    "lipschitz_g",
-    "lower_bound_rate",
-    "lr_ball_volume",
-    "lr_ball_volume_bounds",
-    "lr_distance",
-    "lr_weight",
-    "majorizes",
-    "max_ell_partial_sum",
-    "mgf",
-    "multinomial",
-    "p_star_w",
-    "plotkin_constants",
-    "plurality",
-    "plurality_ell",
-    "random_expurgated_code",
-    "schur_ostrowski_value",
-    "solve_lambda_star",
-    "tilted_mean",
-    "unconstrained_multiplier",
-    "verify_covering",
-    "zero_rate_threshold",
-]
-
-
 _HOMES = {
     "analysis": (
         "ConvexityCertificate",
@@ -164,8 +96,8 @@ _HOMES = {
     "params": ("Params",),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = ("analysis", "bounds", "cli", "compositions", "exact", "metrics", "oracle",
-               "params")
+__all__ = sorted(_HOME)
+_SUBMODULES = (*_HOMES, "cli")
 
 
 def __getattr__(name: str):

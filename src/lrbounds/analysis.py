@@ -36,7 +36,7 @@ import numpy as np
 
 from .compositions import CompositionTable, _top_ell_plus_unit, _top_ell_table, composition_table
 from .exact import _binomial_row, _tail_mass_coefficients
-from .params import Params
+from .params import Params, _whole
 
 __all__ = [
     "ConvexityCertificate",
@@ -98,6 +98,8 @@ class SlicedDistribution:
     w: float
 
     def __post_init__(self) -> None:
+        for name in ("q", "ell"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.q < 2 or not 1 <= self.ell <= self.q - 1:
             raise ValueError(f"bad block shape q={self.q}, ell={self.ell}")
         if not 0.0 <= self.w <= 1.0:
@@ -409,16 +411,12 @@ def certify_monotonicity_g(
     return MonotonicityCertificate(params, len(ws), wstar, max_inc, max_dec, tolerance)
 
 
-@lru_cache(maxsize=None)
-def _lipschitz_cached(q: int, ell: int, L: int, grid_points: int) -> float:
-    params = Params(q, ell, L)
-    _, hi = default_interval(params)
-    ws = np.linspace(0.0, hi, grid_points)
-    return float(np.abs(_slice_values(params, 1, ws)).max())
+_LIPSCHITZ_GRID = 10_000  # points of the grid lipschitz_g maximizes |g'| over
 
 
-def lipschitz_g(params: Params, grid_points: int = 10_000) -> float:
+@lru_cache(maxsize=None)  # Params hashes on (q, ell, L)
+def lipschitz_g(params: Params) -> float:
     """max |g'| over the certification interval, on a dense grid."""
-    if grid_points < 2:
-        raise ValueError(f"need grid_points >= 2, got {grid_points}")
-    return _lipschitz_cached(params.q, params.ell, params.L, grid_points)
+    _, hi = default_interval(params)
+    ws = np.linspace(0.0, hi, _LIPSCHITZ_GRID)
+    return float(np.abs(_slice_values(params, 1, ws)).max())

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
+
+from .params import _whole
 
 __all__ = [
     "Code",
@@ -29,7 +30,7 @@ ListTuple = tuple  # input lists: tuple of sorted ell-subsets of 1..q, one per c
 
 
 def _validate_symbols(x: Sequence[int], q: int) -> None:
-    if q < 2:
+    if _whole("q", q) < 2:
         raise ValueError(f"need q >= 2, got {q}")
     for s in x:
         if int(s) != s or not 1 <= s <= q:
@@ -57,19 +58,13 @@ def plurality_ell(x: Sequence[int], q: int, ell: int) -> tuple[tuple[int, ...], 
     """
     if len(x) == 0:
         raise ValueError("empty tuple has no plurality")
+    q, ell = _whole("q", q), _whole("ell", ell)
     if not 1 <= ell <= q:
         raise ValueError(f"need 1 <= ell <= q, got ell={ell}, q={q}")
     _validate_symbols(x, q)
     counts = _symbol_counts(x, q)
-    best_set: tuple[int, ...] | None = None
-    best = -1
-    for subset in combinations(range(1, q + 1), ell):
-        c = sum(counts[s] for s in subset)
-        if c > best:
-            best = c
-            best_set = subset
-    assert best_set is not None
-    return best_set, best
+    top = sorted(range(1, q + 1), key=lambda s: (-counts[s], s))[:ell]
+    return tuple(sorted(top)), sum(counts[s] for s in top)
 
 
 def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
@@ -93,6 +88,7 @@ def lr_distance(x: Sequence[int], lists: Sequence[Sequence[int]]) -> int:
 
 def lr_weight(x: Sequence[int], q: int, ell: int) -> int:
     """lr_distance to the reference tuple ({q-ell+1,...,q}, ..., same)."""
+    q, ell = _whole("q", q), _whole("ell", ell)
     if not 1 <= ell <= q - 1:
         raise ValueError(f"need 1 <= ell <= q-1, got ell={ell}, q={q}")
     _validate_symbols(x, q)
@@ -111,6 +107,7 @@ def average_radius_ell(xs: Sequence[Sequence[int]], ell: int) -> float:
     n = len(xs[0])
     if any(len(x) != n for x in xs):
         raise ValueError("words must share one length")
+    ell = _whole("ell", ell)
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
     total = 0

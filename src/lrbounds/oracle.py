@@ -1,23 +1,26 @@
 """Brute-force ground truth on small instances and seeded experiments.
 
 Exhaustive routines enumerate list-tuple centers (budget 10^6) or all of
-[q]^n (budget 10^7) and raise BudgetExceededError beyond that; randomized
-routines (expurgated random codes, Monte-Carlo threshold estimates) take an
-explicit seed and use a fresh PCG64 stream per call.
+[q]^n (budget 10^7) and raise BudgetExceededError beyond that.  The exact
+radius and the list-recoverability check share one pruned depth-first walk
+over the centers, and covering by Hamming balls is covering by lr-balls
+around singleton lists (ell = 1).  Randomized routines (expurgated random
+codes, Monte-Carlo threshold estimates) take an explicit seed and use a
+fresh PCG64 stream per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .exact import BudgetExceededError
-from .metrics import Code, average_radius_ell, lr_distance, plurality_ell
-from .params import Params
+from .metrics import Code, _validate_symbols, average_radius_ell, plurality_ell
+from .params import Params, _whole
 
 __all__ = [
     "BudgetExceededError",
@@ -45,10 +48,57 @@ def _validate_words(xs: Sequence[Sequence[int]], q: int) -> tuple[int, int]:
     for x in xs:
         if len(x) != n:
             raise ValueError("words must share one length")
-        for s in x:
-            if int(s) != s or not 1 <= s <= q:
-                raise ValueError(f"symbol {s!r} outside 1..{q}")
+        _validate_symbols(x, q)
     return len(xs), n
+
+
+def _list_shape(q: int, ell: int) -> tuple[int, int]:
+    q, ell = _whole("q", q), _whole("ell", ell)
+    if not 1 <= ell <= q - 1:
+        raise ValueError(f"need 1 <= ell <= q-1, got ell={ell}, q={q}")
+    return q, ell
+
+
+def _input_lists(q: int, ell: int, n: int) -> list[tuple[int, ...]]:
+    """The C(q,ell) input lists in lexicographic order; raises before listing
+    them when the C(q,ell)^n centers exceed CENTER_BUDGET."""
+    count = math.comb(q, ell)
+    if count**n > CENTER_BUDGET:
+        raise BudgetExceededError(f"{count}^{n} centers exceed the budget of {CENTER_BUDGET}")
+    return list(combinations(range(1, q + 1), ell))
+
+
+def _center_walk(
+    xs: Sequence[Sequence[int]],
+    lists: list[tuple[int, ...]],
+    prune: Callable[[list[int]], bool],
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int]]]:
+    """Centers in lists^n, in product order, with the lr-distances of xs to each.
+
+    Depth-first over coordinates, carrying the vector of distances so far;
+    they only grow along a path, so a subtree is skipped as soon as
+    prune(dists) says no completion can qualify.  prune is asked afresh at
+    every node, so a caller may tighten it between the (center, dists) pairs
+    yielded at the leaves that survive.  Each step forms its increments from
+    the column of symbols at that coordinate.
+    """
+    n = len(xs[0])
+    columns = list(zip(*xs))
+    center: list[tuple[int, ...]] = []
+
+    def walk(j: int, dists: list[int]):
+        if prune(dists):
+            return
+        if j == n:
+            yield tuple(center), dists
+            return
+        col = columns[j]
+        for s in lists:
+            center.append(s)
+            yield from walk(j + 1, [d + (c not in s) for d, c in zip(dists, col)])
+            center.pop()
+
+    return walk(0, [0] * len(xs))
 
 
 def exact_radius_ell(
@@ -60,38 +110,11 @@ def exact_radius_ell(
     coordinate; returns the radius and the lexicographically smallest
     minimizing center.
     """
-    if not 1 <= ell <= q - 1:
-        raise ValueError(f"need 1 <= ell <= q-1, got ell={ell}, q={q}")
-    L, n = _validate_words(xs, q)
-    subsets = list(combinations(range(1, q + 1), ell))
-    if len(subsets) ** n > CENTER_BUDGET:
-        raise BudgetExceededError(
-            f"{len(subsets)}^{n} centers exceed the budget of {CENTER_BUDGET}"
-        )
-    # miss[j][t][i]: word i pays at coordinate j under subset t
-    miss = [
-        [tuple(1 if x[j] not in s else 0 for x in xs) for s in subsets] for j in range(n)
-    ]
-
-    best = n + 1
-    best_center: tuple[tuple[int, ...], ...] | None = None
-    center: list[tuple[int, ...]] = []
-
-    def walk(j: int, dists: tuple[int, ...]) -> None:
-        nonlocal best, best_center
-        if max(dists) >= best:
-            return
-        if j == n:
-            best = max(dists)
-            best_center = tuple(center)
-            return
-        row = miss[j]
-        for t, s in enumerate(subsets):
-            center.append(s)
-            walk(j + 1, tuple(d + m for d, m in zip(dists, row[t])))
-            center.pop()
-
-    walk(0, (0,) * L)
+    q, ell = _list_shape(q, ell)
+    _, n = _validate_words(xs, q)
+    best, best_center = n + 1, None
+    for best_center, dists in _center_walk(xs, _input_lists(q, ell, n), lambda d: max(d) >= best):
+        best = max(dists)
     assert best_center is not None
     return best, best_center
 
@@ -105,8 +128,7 @@ def exact_avg_radius_min(
     ell-plurality of each column (lexicographically smallest on ties) and
     the value agrees exactly with average_radius_ell.
     """
-    if not 1 <= ell <= q - 1:
-        raise ValueError(f"need 1 <= ell <= q-1, got ell={ell}, q={q}")
+    q, ell = _list_shape(q, ell)
     L, n = _validate_words(xs, q)
     center = []
     total = 0
@@ -124,28 +146,20 @@ def check_list_recoverable(
     """Decide (p, ell, L) list-recoverability of a code by exhaustion.
 
     True when every input-list tuple has fewer than L codewords within
-    lr-distance n*p.  On failure returns a witness (center, offending
-    codewords).  Centers enumerated lexicographically; budget 10^6.
+    lr-distance n*p.  Otherwise the witness is the first center in
+    lexicographic order with L or more of them, and those codewords in code
+    order.  Budget 10^6 centers.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"need p in [0,1], got {p}")
-    if not 1 <= ell <= code.q - 1:
-        raise ValueError(f"need 1 <= ell <= q-1, got ell={ell}, q={code.q}")
-    if L < 2:
-        raise ValueError(f"need L >= 2, got {L}")
-    if code.size < L:
+    params = Params(code.q, ell, L)
+    if code.size < params.L:
         return True, None
-    n = code.n
-    subsets = list(combinations(range(1, code.q + 1), ell))
-    if len(subsets) ** n > CENTER_BUDGET:
-        raise BudgetExceededError(
-            f"{len(subsets)}^{n} centers exceed the budget of {CENTER_BUDGET}"
-        )
-    threshold = n * p
-    for center in product(subsets, repeat=n):
-        inside = [w for w in code.words if lr_distance(w, center) <= threshold]
-        if len(inside) >= L:
-            return False, (center, tuple(inside))
+    threshold = code.n * p
+    lists = _input_lists(params.q, params.ell, code.n)
+    few = lambda dists: sum(d <= threshold for d in dists) < params.L  # noqa: E731
+    for center, dists in _center_walk(code.words, lists, few):
+        return False, (center, tuple(w for w, d in zip(code.words, dists) if d <= threshold))
     return True, None
 
 
@@ -262,55 +276,47 @@ def verify_covering(
 ) -> bool:
     """Exhaustively confirm that the balls of the given radius cover [q]^n.
 
-    Hamming balls around words when ell is None, otherwise lr-balls around
-    input-list tuples.  Budget: q^n <= 10^7 points, checked in chunks.
+    lr-balls around input-list tuples; when ell is None the centers are
+    words and the balls Hamming balls, which are the lr-balls around their
+    singleton lists (ell = 1).  Budget: q^n <= 10^7 points, checked in chunks.
     """
+    q, n = _whole("q", q), _whole("n", n)
     if q < 2 or n < 1:
         raise ValueError(f"need q >= 2, n >= 1, got q={q}, n={n}")
+    if not radius >= 0:  # NaN fails too
+        raise ValueError(f"need radius >= 0, got {radius}")
     total = q**n
     if total > POINT_BUDGET:
         raise BudgetExceededError(f"{q}^{n} points exceed the budget of {POINT_BUDGET}")
-    if len(centers) == 0:
+    if ell is None:
+        centers, ell = [tuple((s,) for s in word) for word in centers], 1
+    q, ell = _list_shape(q, ell)
+
+    outside_tables: list[np.ndarray] = []
+    for c in centers:
+        if len(c) != n:
+            raise ValueError(f"center of length {len(c)}, expected {n}")
+        outside = np.ones((n, q + 1), dtype=bool)
+        for j, subset in enumerate(c):
+            _validate_symbols(subset, q)
+            if len(subset) != ell or len(set(subset)) != ell:
+                raise ValueError(f"bad input list {subset!r}")
+            outside[j, [int(s) for s in subset]] = False
+        outside_tables.append(outside.ravel())
+    if not outside_tables:
         return False
 
-    word_centers: list[np.ndarray] = []
-    outside_tables: list[np.ndarray] = []
-    if ell is None:
-        for c in centers:
-            _validate_words([c], q)
-            if len(c) != n:
-                raise ValueError(f"center of length {len(c)}, expected {n}")
-            word_centers.append(np.array(c, dtype=np.int64))
-    else:
-        if not 1 <= ell <= q - 1:
-            raise ValueError(f"need 1 <= ell <= q-1, got ell={ell}, q={q}")
-        for c in centers:
-            if len(c) != n:
-                raise ValueError(f"center of length {len(c)}, expected {n}")
-            outside = np.ones((n, q + 1), dtype=bool)
-            for j, subset in enumerate(c):
-                if len(subset) != ell or any(not 1 <= s <= q for s in subset):
-                    raise ValueError(f"bad input list {subset!r}")
-                outside[j, list(subset)] = False
-            outside_tables.append(outside)
-
     place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    cols = np.arange(n)
+    offsets = np.arange(n) * (q + 1)  # cell (j, s) of a flattened outside table
     chunk = 1 << 15
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        pts = (idx[:, None] // place[None, :]) % q + 1
+        cells = (idx[:, None] // place[None, :]) % q + 1 + offsets
         covered = np.zeros(len(idx), dtype=bool)
-        if ell is None:
-            for cw in word_centers:
-                covered |= (pts != cw[None, :]).sum(axis=1) <= radius
-                if covered.all():
-                    break
-        else:
-            for outside in outside_tables:
-                covered |= outside[cols[None, :], pts].sum(axis=1) <= radius
-                if covered.all():
-                    break
+        for outside in outside_tables:
+            covered |= outside[cells].sum(axis=1) <= radius
+            if covered.all():
+                break
         if not covered.all():
             return False
     return True

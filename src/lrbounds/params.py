@@ -5,6 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def _whole(name: str, value) -> int:
+    """value as an int, or ValueError when it is not a whole number (inf, NaN, 2.5)."""
+    try:
+        whole = int(value) == value
+    except (OverflowError, ValueError):  # inf, NaN
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Params:
     """A list-recovery regime (q, ell, L).
@@ -19,14 +30,8 @@ class Params:
     L: int
 
     def __post_init__(self) -> None:
-        for name, value in (("q", self.q), ("ell", self.ell), ("L", self.L)):
-            try:
-                whole = int(value) == value
-            except (OverflowError, ValueError):  # inf, NaN
-                whole = False
-            if not whole:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("q", "ell", "L"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.q < 2:
             raise ValueError(f"need q >= 2, got q={self.q}")
         if not 1 <= self.ell <= self.q - 1:

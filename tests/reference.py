@@ -220,6 +220,18 @@ def ref_exact_radius(xs, q, ell):
     return best
 
 
+def ref_first_witness(words, q, ell, L, p):
+    """First center in product order with >= L words within n*p, and those
+    words in code order; None when no center has L of them."""
+    n = len(words[0])
+    subsets = list(itertools.combinations(range(1, q + 1), ell))
+    for center in itertools.product(subsets, repeat=n):
+        inside = tuple(w for w in words if ref_lr_dist(w, center) <= n * p)
+        if len(inside) >= L:
+            return center, inside
+    return None
+
+
 def ref_ball_count(q, n, radius):
     """Words within Hamming distance radius of a fixed center, counted."""
     center = tuple(1 for _ in range(n))

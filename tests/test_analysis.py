@@ -98,6 +98,12 @@ def test_sliced_distribution_blocks():
     assert su == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     with pytest.raises(ValueError):
         SlicedDistribution(3, 1, 1.5)
+    for q, ell in [(3.5, 1), (3, 1.5), (math.inf, 1), (3, math.nan)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            SlicedDistribution(q, ell, 0.2)
+    # whole floats become ints, as in Params
+    assert SlicedDistribution(3.0, 1.0, 0.2) == SlicedDistribution(3, 1, 0.2)
+    assert type(SlicedDistribution(3.0, 1, 0.2).q) is int
 
 
 @pytest.mark.parametrize("params", SMALL_PARAMS)

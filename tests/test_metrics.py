@@ -23,7 +23,8 @@ from reference import (
     ref_plurality_ell_subset,
 )
 
-words = st.integers(min_value=2, max_value=4).flatmap(
+# up to 8 symbols in at most 8 draws: many symbols tie, most at count 0 or 1
+words = st.integers(min_value=2, max_value=8).flatmap(
     lambda q: st.tuples(
         st.just(q),
         st.lists(st.integers(min_value=1, max_value=q), min_size=1, max_size=8),
@@ -72,6 +73,15 @@ def test_plurality_rejects_bad_input():
     assert plurality_ell((1, 2), 3, 3) == ((1, 2, 3), 2)
     with pytest.raises(ValueError):
         plurality_ell((1, 2), 3, 4)
+    for call in (
+        lambda: plurality_ell((1, 2), 3, 1.5),
+        lambda: plurality_ell((1, 2), 3.5, 1),
+        lambda: lr_weight((1, 2), 3, 1.5),
+        lambda: hamming_weight((1, 2), 2.5),
+        lambda: average_radius_ell(((1, 2), (2, 1)), 1.5),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
 
 
 def test_hamming_distance_basics():

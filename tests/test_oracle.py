@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import lrbounds.oracle
 from lrbounds import (
     BudgetExceededError,
     Code,
@@ -19,7 +20,7 @@ from lrbounds import (
     zero_rate_threshold,
 )
 
-from reference import ref_avg_radius_by_centers, ref_exact_radius
+from reference import ref_avg_radius_by_centers, ref_exact_radius, ref_first_witness
 
 
 def _random_words(rng, q, n, count):
@@ -110,10 +111,24 @@ def test_check_list_recoverable_matches_subset_scan():
             for s in itertools.combinations(words, L)
         )
         assert ok == (worst > n * p)
+        assert wit == ref_first_witness(words, q, ell, L, p)
         if wit is not None:
             center, inside = wit
             assert len(inside) >= L
             assert all(lr_distance(x, center) <= n * p for x in inside)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.4])
+def test_check_list_recoverable_prunes_deep(p):
+    # 3^8 centers and 40 words: at p = 0.2 a center keeps a word only while
+    # it misses at most one coordinate, so most subtrees are cut near the root
+    rng = np.random.default_rng(8)
+    words = _random_words(rng, 3, 8, 40)
+    code = Code(3, 8, words)
+    for ell, L in [(1, 2), (1, 3), (2, 4), (2, 12)]:
+        got = check_list_recoverable(code, p, ell, L)
+        want = ref_first_witness(words, 3, ell, L, p)
+        assert got == ((True, None) if want is None else (False, want)), (ell, L)
 
 
 def test_check_small_codes_trivially_recoverable():
@@ -129,6 +144,28 @@ def test_check_validates_arguments():
         check_list_recoverable(code, 0.1, 3, 2)
     with pytest.raises(ValueError):
         check_list_recoverable(code, 0.1, 1, 1)
+
+
+def test_integer_parameters_must_be_whole():
+    code = Code(3, 2, ((1, 1), (2, 2)))
+    xs = ((1, 2), (2, 3))
+    for call in (
+        lambda: check_list_recoverable(code, 0.1, 1, 2.5),
+        lambda: check_list_recoverable(code, 0.1, 1.5, 2),
+        lambda: check_list_recoverable(code, 0.1, 1, math.nan),
+        lambda: exact_avg_radius_min(xs, 3, 1.5),
+        lambda: exact_avg_radius_min(xs, 3.5, 1),
+        lambda: exact_radius_ell(xs, 3, 1.5),
+        lambda: exact_radius_ell(xs, 3.5, 1),
+        lambda: verify_covering(2.5, 2, ((1, 1),), 1),
+        lambda: verify_covering(2, 2.5, ((1, 1),), 1),
+        lambda: verify_covering(3, 2, (((1,), (2,)),), 1, ell=1.5),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    # whole floats are accepted, as in Params
+    assert check_list_recoverable(code, 0.1, 1.0, 2.0) == check_list_recoverable(code, 0.1, 1, 2)
+    assert exact_radius_ell(xs, 3.0, 1.0) == exact_radius_ell(xs, 3, 1)
 
 
 def _brute_min_avg_radius(code, params):
@@ -211,6 +248,31 @@ def test_verify_covering_small_cases():
     lists = tuple(tuple((a,) for a in w) for w in all3)
     assert verify_covering(2, 3, lists, 0, ell=1) is True
     assert verify_covering(2, 3, lists[:1], 0, ell=1) is False
+    # Hamming balls are the lr-balls around singleton lists
+    for r in range(4):
+        for k in range(1, 4):
+            words = all3[:: 8 // k][:k]
+            singletons = tuple(tuple((s,) for s in w) for w in words)
+            assert verify_covering(2, 3, words, r) is verify_covering(2, 3, singletons, r, ell=1)
+
+
+@pytest.mark.parametrize(
+    "centers, radius, ell",
+    [
+        (((1, 2),), math.nan, None),
+        (((1, 2),), -1, None),
+        ((((1, 2), (1, 2)),), math.nan, 2),
+        ((((1, 2), (1, 2)),), -0.5, 2),
+        ((((1, 1), (1, 2)),), 1, 2),  # a repeated symbol is not a list of size 2
+        ((((1, 2), (3, 3)),), 0, 2),
+        (((1, 1.5),), 1, None),
+        ((((1, 2), (1, 2.5)),), 1, 2),
+        (((1, 4),), 1, None),
+    ],
+)
+def test_verify_covering_rejects_bad_input(centers, radius, ell):
+    with pytest.raises(ValueError):
+        verify_covering(3, 2, centers, radius, ell=ell)
 
 
 def test_budgets_are_enforced():
@@ -222,6 +284,22 @@ def test_budgets_are_enforced():
         check_list_recoverable(big, 0.1, 1, 2)
     with pytest.raises(BudgetExceededError):
         verify_covering(2, 24, ((1,) * 24,), 2)
+
+
+def test_center_budget_is_checked_before_the_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked past the budget")
+
+    monkeypatch.setattr(lrbounds.oracle, "_center_walk", no_walk)
+    with pytest.raises(BudgetExceededError):
+        exact_radius_ell(tuple((1,) * 13 for _ in range(2)), 3, 1)
+    with pytest.raises(BudgetExceededError):
+        check_list_recoverable(Code(2, 24, ((1,) * 24, (2,) * 24)), 0.1, 1, 2)
+    # C(60,30) ~ 1.2e17 lists: counted, never listed
+    with pytest.raises(BudgetExceededError):
+        exact_radius_ell(((1,), (60,)), 60, 30)
+    with pytest.raises(BudgetExceededError):
+        check_list_recoverable(Code(60, 1, ((1,), (60,))), 0.0, 30, 2)
 
 
 def test_expurgation_budget_is_checked_before_sampling(monkeypatch):
