@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Sequence, Union
 
 import numpy as np
@@ -310,6 +309,7 @@ def certify_schur(
     Samples are normalized standard exponentials (flat Dirichlet) from a
     seeded PCG64 stream, so certificates are reproducible.
     """
+    samples, seed = _whole("samples", samples), _whole("seed", seed)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     q = params.q
@@ -318,10 +318,8 @@ def certify_schur(
     ps = e / e.sum(axis=1, keepdims=True)
     grads = _f_derivatives(params, ps, 1)
     # the product is symmetric in (i, j), so pairs i < j cover every value
-    worst = min(
-        float(((ps[:, i] - ps[:, j]) * (grads[:, i] - grads[:, j])).min())
-        for i, j in combinations(range(q), 2)
-    )
+    i, j = np.triu_indices(q, 1)
+    worst = float(((ps[:, i] - ps[:, j]) * (grads[:, i] - grads[:, j])).min())
     return SchurCertificate(params, samples, seed, worst, tolerance)
 
 
@@ -363,6 +361,7 @@ def certify_convexity(
     tolerance: float = CERT_TOL,
 ) -> ConvexityCertificate:
     """Grid-minimize g'' and count dips below -tolerance."""
+    grid_points = _whole("grid_points", grid_points)
     if grid_points < 2:
         raise ValueError(f"need grid_points >= 2, got {grid_points}")
     lo, hi = interval if interval is not None else default_interval(params)
@@ -398,6 +397,7 @@ def certify_monotonicity_g(
     params: Params, grid_points: int = 1001, tolerance: float = CERT_TOL
 ) -> MonotonicityCertificate:
     """Check g is non-increasing left of w* = (q-ell)/q and non-decreasing right."""
+    grid_points = _whole("grid_points", grid_points)
     if grid_points < 3:
         raise ValueError(f"need grid_points >= 3, got {grid_points}")
     wstar = params.w_star

@@ -20,9 +20,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .analysis import g, g_prime, lipschitz_g
-from .exact import (_divergence_to_cap, _entropy, _radius_counts, _threshold,  # noqa: F401
-                    comparison_gmrsw, comparison_ry_binary4, comparison_ry_qary3, entropy_q,
-                    entropy_q_ell, eta_q, zero_rate_threshold)
+from .exact import (_entropy, _radius_counts, comparison_gmrsw, comparison_ry_binary4,
+                    comparison_ry_qary3, entropy_q, entropy_q_ell, eta_q, zero_rate_threshold)
 from .params import Params
 
 __all__ = [
@@ -86,15 +85,22 @@ def p_star_w(params: Params, w: float) -> float:
 # --- tilted average-radius law and the lower bound ------------------------
 
 
-def _tilt(params: Params, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """rho_t, weights proportional to P(rho_t) q^(-lam rho_t), and log E[q^(-lam rho)]."""
+def _tilt(params: Params, lam: float) -> tuple[float, float, float]:
+    """Mean and variance of rho under the lam-tilted law, and log E[q^(-lam rho)].
+
+    All three come from one weight vector tw ~ P(rho_t) q^(-lam rho_t),
+    scaled so its largest entry is 1, and its one sum.
+    """
     if not lam >= 0.0:
         raise ValueError(f"need lam >= 0, got {lam}")
     _, rho, log_p = _radius_law(params.q, params.ell, params.L)
     x = log_p - lam * rho * math.log(params.q)
     m = float(x.max())
     tw = np.exp(x - m)
-    return rho, tw, m + math.log(float(tw.sum()))
+    total = tw.sum()
+    mean = float((tw @ rho) / total)
+    var = float((tw @ (rho - mean) ** 2) / total)
+    return mean, var, m + math.log(float(total))
 
 
 def mgf(params: Params, lam: float) -> float:
@@ -104,8 +110,7 @@ def mgf(params: Params, lam: float) -> float:
 
 def tilted_mean(params: Params, lam: float) -> float:
     """Mean of rho under the lam-tilted law; decreasing, equals p* at lam = 0."""
-    rho, tw, _ = _tilt(params, lam)
-    return float((tw @ rho) / tw.sum())
+    return _tilt(params, lam)[0]
 
 
 def _rate_at_zero(params: Params) -> float:
@@ -190,14 +195,11 @@ def solve_lambda_star(params: Params, p: float) -> FixedPointResult:
     tol = min(LAMBDA_RESIDUAL, LAMBDA_RELATIVE * p)
 
     def log_residual(lam: float):
-        rho, tw, log_z = _tilt(params, lam)
-        total = tw.sum()
-        mean = float((tw @ rho) / total)  # as tilted_mean forms it
+        mean, var, log_z = _tilt(params, lam)
         gap = mean - p
         done = abs(gap) <= tol or (lam >= LAMBDA_CAP and gap > 0.0)
         if not mean > 0.0:  # every weight off rho = 0 underflowed
             return -math.inf, math.nan, done, (gap, log_z)
-        var = float((tw @ (rho - mean) ** 2) / total)
         return math.log(mean) - math.log(p), -lnq * var / mean, done, (gap, log_z)
 
     try:

@@ -103,17 +103,6 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 # --- curve -------------------------------------------------------------------
 
 
-def _default_pmax(kind: str, params: Params | None) -> float:
-    if kind in ("lower", "upper"):
-        assert params is not None
-        return exact.zero_rate_threshold(params)
-    if kind == "gmrsw":
-        return 1.0 / 3.0
-    if kind == "ry-binary-4":
-        return 0.5
-    return 2.0 / 3.0  # ry-qary-3
-
-
 def _curve_grid(pmin: float, pmax: float, points: int | None, step: float | None) -> list[float]:
     if not 0.0 <= pmin < pmax:
         raise ValueError(f"need 0 <= pmin < pmax, got pmin={pmin}, pmax={pmax}")
@@ -136,57 +125,44 @@ def _curve_grid(pmin: float, pmax: float, points: int | None, step: float | None
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    kind = args.kind
-    params: Params | None = None
-    if kind in ("lower", "upper"):
-        params = _params_from(args)
-    elif kind == "ry-qary-3":
-        if args.q is None:
-            raise ValueError("ry-qary-3 needs --q")
-        if args.q < 3:
-            raise ValueError(f"ry-qary-3 needs q >= 3, got {args.q}")
+    if args.kind in ("lower", "upper"):
+        from . import bounds
 
-    pmax = args.pmax if args.pmax is not None else _default_pmax(kind, params)
-    if kind == "gmrsw" and pmax > 1.0 / 3.0 + 1e-12:
-        raise ValueError(f"gmrsw is defined for p <= 1/3, got pmax={pmax}")
+        params = _params_from(args)
+        bound = bounds.lower_bound_rate if args.kind == "lower" else bounds.eb_upper_bound_rate
+        pstar = exact.zero_rate_threshold(params)
+        default_pmax = clamp = pstar
+        rate = lambda p: bound(params, p) if p < pstar else 0.0  # noqa: E731
+    else:  # a published curve checks its own range and is never clamped
+        if args.kind == "ry-qary-3" and args.q is None:
+            raise ValueError("ry-qary-3 needs --q")
+        curve, default_pmax = {
+            "gmrsw": (exact.comparison_gmrsw, 1.0 / 3.0),
+            "ry-binary-4": (exact.comparison_ry_binary4, 0.5),
+            "ry-qary-3": (lambda p: exact.comparison_ry_qary3(args.q, p), 2.0 / 3.0),
+        }[args.kind]
+        clamp = math.inf
+        rate = lambda p: max(0.0, curve(p))  # noqa: E731
+
+    pmax = default_pmax if args.pmax is None else args.pmax
     if pmax > 1.0:
         raise ValueError(f"need pmax <= 1, got {pmax}")
     grid = _curve_grid(args.pmin, pmax, args.points, args.step)
-
-    if kind in ("lower", "upper"):
-        from . import bounds
-
-        assert params is not None
-        pstar = exact.zero_rate_threshold(params)
-        kept = [p for p in grid if p <= pstar]
-        if len(kept) < len(grid):
-            print(
-                f"warning: {len(grid) - len(kept)} grid points beyond "
-                f"p_star={pstar:.12f} were clamped",
-                file=sys.stderr,
-            )
-            grid = kept + ([pstar] if not kept or kept[-1] < pstar else [])
-
-    if kind == "lower":
-        fn = lambda p: bounds.lower_bound_rate(params, p)  # noqa: E731
-    elif kind == "upper":
-        pstar = exact.zero_rate_threshold(params)
-        fn = lambda p: 0.0 if p >= pstar else bounds.eb_upper_bound_rate(params, p)  # noqa: E731
-    elif kind == "gmrsw":
-        fn = lambda p: max(0.0, exact.comparison_gmrsw(p))  # noqa: E731
-    elif kind == "ry-binary-4":
-        fn = lambda p: max(0.0, exact.comparison_ry_binary4(p))  # noqa: E731
-    elif kind == "ry-qary-3":
-        fn = lambda p: max(0.0, exact.comparison_ry_qary3(args.q, p))  # noqa: E731
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}")
+    kept = [p for p in grid if p <= clamp]
+    if len(kept) < len(grid):
+        print(
+            f"warning: {len(grid) - len(kept)} grid points beyond "
+            f"p_star={clamp:.12f} were clamped",
+            file=sys.stderr,
+        )
+        grid = kept + ([clamp] if not kept or kept[-1] < clamp else [])
 
     threads = os.environ.get("LRB_THREADS", "1")
     try:  # still validated, but curves are evaluated in order in one thread
         int(threads)
     except ValueError:
         raise ValueError(f"LRB_THREADS must be an integer, got {threads!r}") from None
-    rates = [fn(p) for p in grid]
+    rates = [rate(p) for p in grid]
     prec = args.precision
     lines = [f"{p:.{prec}f} {r:.{prec}f}" for p, r in zip(grid, rates)]
     formatted_ps = [line.split()[0] for line in lines]

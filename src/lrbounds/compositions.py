@@ -21,8 +21,6 @@ from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .exact import _orbits  # noqa: F401  (defined in the exact layer, re-exported)
-
 __all__ = [
     "Composition",
     "CompositionTable",

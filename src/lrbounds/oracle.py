@@ -209,6 +209,7 @@ def random_expurgated_code(
     lexicographically largest codeword is removed and the scan restarts,
     until every L-subset has average radius strictly above n*p.
     """
+    n, seed = _whole("n", n), _whole("seed", seed)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"need p in [0,1], got {p}")
     if n < 1:
@@ -248,6 +249,7 @@ def estimate_threshold_mc(params: Params, samples: int = 10**6, seed: int = 1) -
     Returns (mean, standard error); samples must be at least 10^3 for the
     normal-approximation error bar to mean anything.
     """
+    samples, seed = _whole("samples", samples), _whole("seed", seed)
     if samples < 10**3:
         raise ValueError(f"need samples >= 1000, got {samples}")
     q, ell, L = params.q, params.ell, params.L

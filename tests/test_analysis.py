@@ -331,6 +331,12 @@ def test_schur_certificate_passes_and_reproduces(params):
     assert c1.min_value == c2.min_value
     assert c1.min_value >= -1e-12
     assert c1.samples == 60 and c1.seed == 3
+    # the same draw, one (sample, pair) at a time; the gradients agree to rounding
+    e = np.random.default_rng(3).standard_exponential((60, params.q))
+    ps = e / e.sum(axis=1, keepdims=True)
+    pairs = [(i, j) for i in range(params.q) for j in range(i + 1, params.q)]
+    want = min(schur_ostrowski_value(params, p, i, j) for p in ps for i, j in pairs)
+    assert c1.min_value == pytest.approx(want, rel=1e-9)
 
 
 def test_convexity_certificate_pass_cases():

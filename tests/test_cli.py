@@ -311,3 +311,41 @@ def test_code_file_rejects_garbage(tmp_path):
     res = run_cli("oracle", "check", "--code", str(path), "--p", "0.1",
                   "--ell", "1", "--L", "2")
     assert res.returncode == 2
+
+
+# stdout of each curve kind at one small setting, pinned byte for byte
+CURVE_BYTES = [
+    (("--kind", "lower", "--q", "2", "--ell", "1", "--L", "3", "--points", "5"),
+     "0.000000 1.000000\n0.062500 0.503304\n0.125000 0.225603\n"
+     "0.187500 0.059880\n0.250000 0.000000\n"),
+    (("--kind", "upper", "--q", "2", "--ell", "1", "--L", "3", "--points", "5"),
+     "0.000000 1.000000\n0.062500 0.645421\n0.125000 0.399124\n"
+     "0.187500 0.188722\n0.250000 0.000000\n"),
+    (("--kind", "gmrsw", "--points", "4"),
+     "0.000000 1.000000\n0.111111 0.276692\n0.222222 0.012531\n0.333333 0.207519\n"),
+    (("--kind", "ry-binary-4", "--points", "4"),
+     "0.000000 1.000000\n0.166667 0.179981\n0.333333 0.000000\n0.500000 0.000000\n"),
+    (("--kind", "ry-qary-3", "--q", "4", "--points", "4"),
+     "0.000000 1.000000\n0.222222 0.215644\n0.444444 0.000000\n0.666667 0.000000\n"),
+]
+
+
+@pytest.mark.parametrize("args,want", CURVE_BYTES, ids=[a[1] for a, _ in CURVE_BYTES])
+def test_curve_kind_bytes(args, want):
+    res = run_cli("curve", *args)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == want.encode()
+
+
+@pytest.mark.parametrize("args", [
+    ("--kind", "ry-qary-3"),
+    ("--kind", "ry-qary-3", "--q", "2"),
+    ("--kind", "gmrsw", "--pmax", "0.4"),
+    ("--kind", "ry-binary-4", "--pmax", "1.5"),
+], ids=["qary-no-q", "qary-q2", "gmrsw-pmax", "binary4-pmax"])
+def test_curve_out_of_range_exit_2(args):
+    # every rate is formed before anything is written, so stdout stays empty
+    res = run_cli("curve", *args)
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert res.stderr.startswith(b"error: ")

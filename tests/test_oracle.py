@@ -10,6 +10,9 @@ from lrbounds import (
     Code,
     Params,
     average_radius_ell,
+    certify_convexity,
+    certify_monotonicity_g,
+    certify_schur,
     check_list_recoverable,
     estimate_threshold_mc,
     exact_avg_radius_min,
@@ -166,6 +169,26 @@ def test_integer_parameters_must_be_whole():
     # whole floats are accepted, as in Params
     assert check_list_recoverable(code, 0.1, 1.0, 2.0) == check_list_recoverable(code, 0.1, 1, 2)
     assert exact_radius_ell(xs, 3.0, 1.0) == exact_radius_ell(xs, 3, 1)
+
+
+COUNTS_AND_SEEDS = [  # (function, argument, bad value, other arguments)
+    (certify_schur, "samples", 10.5, {}),
+    (certify_schur, "seed", 1.5, {}),
+    (certify_convexity, "grid_points", 10.5, {}),
+    (certify_monotonicity_g, "grid_points", 10.5, {}),
+    (random_expurgated_code, "n", 10.5, {"p": 0.1, "target_rate": 0.3, "seed": 1}),
+    (random_expurgated_code, "seed", 1.5, {"p": 0.1, "n": 10, "target_rate": 0.3}),
+    (estimate_threshold_mc, "samples", 1000.5, {}),
+    (estimate_threshold_mc, "seed", 1.5, {}),
+]
+
+
+@pytest.mark.parametrize("fn,name,value,kwargs", COUNTS_AND_SEEDS,
+                         ids=[f"{fn.__name__}-{name}" for fn, name, _, _ in COUNTS_AND_SEEDS])
+def test_counts_and_seeds_must_be_whole(fn, name, value, kwargs):
+    # a ValueError naming the argument, as Params raises
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        fn(Params(2, 1, 2), **kwargs, **{name: value})
 
 
 def _brute_min_avg_radius(code, params):
