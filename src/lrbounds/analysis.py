@@ -35,7 +35,7 @@ import numpy as np
 
 from .compositions import CompositionTable, _top_ell_plus_unit, _top_ell_table, composition_table
 from .exact import _binomial_row, _tail_mass_coefficients
-from .params import Params, _whole
+from .params import Params, _check_w, _list_shape, _whole
 
 __all__ = [
     "ConvexityCertificate",
@@ -97,12 +97,9 @@ class SlicedDistribution:
     w: float
 
     def __post_init__(self) -> None:
-        for name in ("q", "ell"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
-        if self.q < 2 or not 1 <= self.ell <= self.q - 1:
-            raise ValueError(f"bad block shape q={self.q}, ell={self.ell}")
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError(f"need w in [0,1], got {self.w}")
+        for name, value in zip(("q", "ell"), _list_shape(self.q, self.ell)):
+            object.__setattr__(self, name, value)
+        _check_w(self.w)
 
     def distribution(self) -> Distribution:
         return Distribution(_sliced_probs(self.q, self.ell, self.w))
@@ -227,11 +224,6 @@ def _slice_values(params: Params, order: int, ws: Sequence[float]) -> np.ndarray
     np.log1p(-w, out=log_p[:, 0], where=w < 1.0)
     np.log(w, out=log_p[:, 1], where=w > 0.0)
     return _composition_sums(composition_table(2, len(coef) - 1), log_p, coef)
-
-
-def _check_w(w: float) -> None:
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"need w in [0,1], got {w}")
 
 
 def g(params: Params, w: float) -> float:
@@ -406,8 +398,8 @@ def certify_monotonicity_g(
     diffs = np.diff(vals)
     left = ws[1:] <= wstar + 1e-15
     right = ws[:-1] >= wstar - 1e-15
-    max_inc = float(diffs[left].max()) if left.any() else 0.0
-    max_dec = float((-diffs[right]).max()) if right.any() else 0.0
+    max_inc = float(diffs[left].max())  # w* is on the grid and 0 < w* < 1: neither side is empty
+    max_dec = float((-diffs[right]).max())
     return MonotonicityCertificate(params, len(ws), wstar, max_inc, max_dec, tolerance)
 
 

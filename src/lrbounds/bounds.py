@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import g, g_prime, lipschitz_g
 from .exact import (_entropy, _radius_counts, comparison_gmrsw, comparison_ry_binary4,
                     comparison_ry_qary3, entropy_q, entropy_q_ell, eta_q, zero_rate_threshold)
-from .params import Params
+from .params import Params, _alphabet, _whole
 
 __all__ = [
     "BoundCurve",
@@ -310,6 +310,9 @@ def unconstrained_multiplier(params: Params, tau: float) -> float:
 
 
 def _ball_volume(q: int, ell: int, n: int, radius: int) -> int:
+    n, radius = _whole("n", n), _whole("radius", radius)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     if radius < 0:
         raise ValueError(f"need radius >= 0, got {radius}")
     r = min(radius, n)
@@ -318,19 +321,16 @@ def _ball_volume(q: int, ell: int, n: int, radius: int) -> int:
 
 def ball_volume(q: int, n: int, radius: int) -> int:
     """Exact Hamming ball volume sum_{i<=r} C(n,i)(q-1)^i."""
-    if q < 2 or n < 0:
-        raise ValueError(f"need q >= 2, n >= 0, got q={q}, n={n}")
-    return _ball_volume(q, 1, n, radius)
+    return _ball_volume(_alphabet(q), 1, n, radius)
 
 
 def lr_ball_volume(params: Params, n: int, radius: int) -> int:
     """Exact volume of the lr-ball around an input-list tuple."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
     return _ball_volume(params.q, params.ell, n, radius)
 
 
 def _volume_bounds(q: int, ell: int, n: int, w: float) -> tuple[float, float]:
+    n = _whole("n", n)
     nw = n * w
     if not (1.0 - 1e-9 <= nw <= n - 1.0 + 1e-9):
         raise ValueError(f"need 1 <= n*w <= n-1, got n*w = {nw}")
@@ -343,9 +343,7 @@ def _volume_bounds(q: int, ell: int, n: int, w: float) -> tuple[float, float]:
 
 def ball_volume_bounds(q: int, n: int, w: float) -> tuple[float, float]:
     """Entropy sandwich for the radius-nw Hamming ball, valid for 1 <= nw <= n-1."""
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    return _volume_bounds(q, 1, n, w)
+    return _volume_bounds(_alphabet(q), 1, n, w)
 
 
 def lr_ball_volume_bounds(params: Params, n: int, w: float) -> tuple[float, float]:
@@ -354,6 +352,9 @@ def lr_ball_volume_bounds(params: Params, n: int, w: float) -> tuple[float, floa
 
 
 def _covering_size(q: int, ell: int, n: int, w: float) -> float:
+    n = _whole("n", n)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     if not 0.0 < w < 1.0:
         raise ValueError(f"need 0 < w < 1, got {w}")
     return n * math.log(q) * math.sqrt(8.0 * n * w * (1.0 - w)) * float(q) ** (
@@ -363,15 +364,11 @@ def _covering_size(q: int, ell: int, n: int, w: float) -> float:
 
 def covering_size_bound(q: int, n: int, w: float) -> float:
     """Greedy covering-code size: n ln(q) sqrt(8 n w (1-w)) q^{n(1-H_q(w))} + 1."""
-    if q < 2 or n < 2:
-        raise ValueError(f"need q >= 2, n >= 2, got q={q}, n={n}")
-    return _covering_size(q, 1, n, w)
+    return _covering_size(_alphabet(q), 1, n, w)
 
 
 def covering_size_bound_lr(params: Params, n: int, w: float) -> float:
     """Greedy cover of [q]^n by lr-balls around input-list tuples."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     return _covering_size(params.q, params.ell, n, w)
 
 

@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .params import Params
+from .params import Params, _alphabet, _check_w, _whole
 
 
 class BudgetExceededError(RuntimeError):
@@ -124,8 +124,7 @@ def zero_rate_threshold(params: Params) -> float:
 
 
 def _entropy(q: int, ell: int, w: float) -> float:
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"need w in [0,1], got {w}")
+    _check_w(w)
     lnq = math.log(q)
     out = 0.0
     if w > 0.0:  # a difference of logs: (q - ell)/w overflows for subnormal w
@@ -137,9 +136,7 @@ def _entropy(q: int, ell: int, w: float) -> float:
 
 def entropy_q(q: int, w: float) -> float:
     """q-ary entropy; 1 at w = (q-1)/q, 0 at w = 0."""
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    return _entropy(q, 1, w)
+    return _entropy(_alphabet(q), 1, w)
 
 
 def entropy_q_ell(params: Params, w: float) -> float:
@@ -149,8 +146,7 @@ def entropy_q_ell(params: Params, w: float) -> float:
 
 def eta_q(q: int, xs: Sequence[float]) -> float:
     """sum x_i log_q(1/x_i) + (1 - sum x_i) log_q(1/(1 - sum x_i))."""
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
+    q = _alphabet(q)
     vals = [float(x) for x in xs]
     if not all(x >= 0.0 for x in vals):
         raise ValueError(f"need non-negative entries, got {vals}")
@@ -203,6 +199,7 @@ def comparison_ry_binary4(p: float) -> float:
 
 def comparison_ry_qary3(q: int, p: float) -> float:
     """q-ary (ell=1, L=3) curve: (1/2) min over the two-weight relaxation."""
+    q = _whole("q", q)
     if q < 3:
         raise ValueError(f"need q >= 3, got {q}")
     if not p >= 0.0:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .params import _whole
+from .params import _alphabet, _list_shape, _whole
 
 __all__ = [
     "Code",
@@ -30,8 +30,7 @@ ListTuple = tuple  # input lists: tuple of sorted ell-subsets of 1..q, one per c
 
 
 def _validate_symbols(x: Sequence[int], q: int) -> None:
-    if _whole("q", q) < 2:
-        raise ValueError(f"need q >= 2, got {q}")
+    q = _alphabet(q)
     for s in x:
         if int(s) != s or not 1 <= s <= q:
             raise ValueError(f"symbol {s!r} outside 1..{q}")
@@ -74,9 +73,8 @@ def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 def hamming_weight(x: Sequence[int], q: int) -> int:
-    """Distance to the all-q word."""
-    _validate_symbols(x, q)
-    return sum(1 for s in x if s != q)
+    """Distance to the all-q word: lr_weight at ell = 1."""
+    return lr_weight(x, q, 1)
 
 
 def lr_distance(x: Sequence[int], lists: Sequence[Sequence[int]]) -> int:
@@ -88,9 +86,7 @@ def lr_distance(x: Sequence[int], lists: Sequence[Sequence[int]]) -> int:
 
 def lr_weight(x: Sequence[int], q: int, ell: int) -> int:
     """lr_distance to the reference tuple ({q-ell+1,...,q}, ..., same)."""
-    q, ell = _whole("q", q), _whole("ell", ell)
-    if not 1 <= ell <= q - 1:
-        raise ValueError(f"need 1 <= ell <= q-1, got ell={ell}, q={q}")
+    q, ell = _list_shape(q, ell)
     _validate_symbols(x, q)
     return sum(1 for s in x if s <= q - ell)
 
@@ -128,8 +124,8 @@ class Code:
     words: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"need q >= 2, got {self.q}")
+        object.__setattr__(self, "q", _alphabet(self.q))
+        object.__setattr__(self, "n", _whole("n", self.n))
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         norm = tuple(tuple(int(s) for s in w) for w in self.words)

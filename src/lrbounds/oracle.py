@@ -20,7 +20,7 @@ import numpy as np
 
 from .exact import BudgetExceededError
 from .metrics import Code, _validate_symbols, average_radius_ell, plurality_ell
-from .params import Params, _whole
+from .params import Params, _list_shape, _whole
 
 __all__ = [
     "BudgetExceededError",
@@ -50,13 +50,6 @@ def _validate_words(xs: Sequence[Sequence[int]], q: int) -> tuple[int, int]:
             raise ValueError("words must share one length")
         _validate_symbols(x, q)
     return len(xs), n
-
-
-def _list_shape(q: int, ell: int) -> tuple[int, int]:
-    q, ell = _whole("q", q), _whole("ell", ell)
-    if not 1 <= ell <= q - 1:
-        raise ValueError(f"need 1 <= ell <= q-1, got ell={ell}, q={q}")
-    return q, ell
 
 
 def _input_lists(q: int, ell: int, n: int) -> list[tuple[int, ...]]:
@@ -253,10 +246,8 @@ def estimate_threshold_mc(params: Params, samples: int = 10**6, seed: int = 1) -
     if samples < 10**3:
         raise ValueError(f"need samples >= 1000, got {samples}")
     q, ell, L = params.q, params.ell, params.L
-    if q > 127:
-        raise ValueError("alphabet too large for the int8 fast path")
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, q, size=(samples, L), dtype=np.int8)
+    draws = rng.integers(0, q, size=(samples, L), dtype=np.min_scalar_type(q - 1))
     counts = np.zeros((samples, q), dtype=np.min_scalar_type(L))  # a count reaches L
     rows = np.arange(samples)
     for j in range(L):
@@ -282,17 +273,17 @@ def verify_covering(
     words and the balls Hamming balls, which are the lr-balls around their
     singleton lists (ell = 1).  Budget: q^n <= 10^7 points, checked in chunks.
     """
-    q, n = _whole("q", q), _whole("n", n)
-    if q < 2 or n < 1:
-        raise ValueError(f"need q >= 2, n >= 1, got q={q}, n={n}")
+    if ell is None:
+        centers, ell = [tuple((s,) for s in word) for word in centers], 1
+    q, ell = _list_shape(q, ell)
+    n = _whole("n", n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if not radius >= 0:  # NaN fails too
         raise ValueError(f"need radius >= 0, got {radius}")
     total = q**n
     if total > POINT_BUDGET:
         raise BudgetExceededError(f"{q}^{n} points exceed the budget of {POINT_BUDGET}")
-    if ell is None:
-        centers, ell = [tuple((s,) for s in word) for word in centers], 1
-    q, ell = _list_shape(q, ell)
 
     outside_tables: list[np.ndarray] = []
     for c in centers:

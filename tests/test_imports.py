@@ -1,6 +1,8 @@
-"""Every module-level import in src/lrbounds is read there or re-exported by __all__.
+"""Two structure guards over src/lrbounds, read with the stdlib ast module.
 
-No linter runs on this tree, so this is the guard against dead aliases.
+Every module-level import is read there or re-exported by __all__ (no linter
+runs on this tree, so this is the guard against dead aliases), and each
+argument rule is written only in params.
 """
 
 import ast
@@ -31,3 +33,19 @@ def _unread_imports(path):
 def test_every_module_level_import_is_read_or_exported():
     unread = [item for path in sorted(PACKAGE.glob("*.py")) for item in _unread_imports(path)]
     assert unread == []
+
+
+# The literal pieces of the rules' error messages; params is their one home.
+RULES = ("need q >= 2", "need 1 <= ell <= q-1", "need w in [0,1]")
+
+
+def _rule_homes(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {rule for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            for rule in RULES if rule in n.value}
+
+
+def test_each_argument_rule_is_written_only_in_params():
+    homes = {rule: sorted(path.name for path in PACKAGE.glob("*.py") if rule in _rule_homes(path))
+             for rule in RULES}
+    assert homes == {rule: ["params.py"] for rule in RULES}

@@ -250,6 +250,13 @@ def test_mc_threshold_counts_do_not_wrap_for_large_L():
     assert abs(mean - zero_rate_threshold(params)) <= 6 * se
 
 
+def test_mc_threshold_any_alphabet_size():
+    # q = 200 draws symbols past the int8 range; for L = 2, ell = 1, p* = (q-1)/(2q)
+    q = 200
+    mean, se = estimate_threshold_mc(Params(q, 1, 2), samples=2000, seed=1)
+    assert abs(mean - (q - 1) / (2 * q)) <= 6 * se
+
+
 def test_mc_threshold_deterministic():
     params = Params(3, 1, 3)
     a = estimate_threshold_mc(params, samples=50000, seed=11)
