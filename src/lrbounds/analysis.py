@@ -9,12 +9,11 @@ order k from compositions, never from finite differences.
 g restricts f to the two-block sliced family P_w that spreads mass w
 uniformly over the first q-ell symbols and 1-w over the last ell.  g depends
 on w only through how many draws land on each block, so it is a degree-L
-polynomial fixed by L+1 exact integers c_s (s draws on the tail block, summed
-over pairs of sorted head and tail orbits).  g, g', g'', p* and the Lipschitz
-constant all derive from that one vector: over the one denominator
-((q-ell) ell)^L its Bernstein coefficients have integer numerators, their
-forward differences are taken in ints, and each is divided into a float
-once, correctly rounded.
+polynomial whose Bernstein coefficients, over the one denominator
+((q-ell) ell)^L, have integer numerators.  exact forms those numerators and
+their scaled forward differences; here each is divided into a float once,
+correctly rounded, and g, g', g'', p_star_w and the Lipschitz constant all
+read those floats.
 
 Every sum of the form sum_a C(m,a) p^a v_a goes through one log-domain
 kernel, _composition_sums, with the logs of exact multinomials from the
@@ -34,7 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .compositions import CompositionTable, _top_ell_plus_unit, _top_ell_table, composition_table
-from .exact import _binomial_row, _tail_mass_coefficients
+from .exact import _slice_numerators
 from .params import Params, _check_w, _list_shape, _whole
 
 __all__ = [
@@ -195,19 +194,11 @@ def _block_vector(q: int, ell: int) -> np.ndarray:
 def _slice_bernstein(q: int, ell: int, L: int, order: int) -> np.ndarray:
     """Bernstein coefficients of the order-th derivative of g, degree L - order.
 
-    beta_k = c_{L-k} / (C(L,k) (q-ell)^k ell^(L-k)) is the mean of top_ell
-    given k draws on the head block, so 0 <= beta_k <= L.  Over the one
-    denominator ((q-ell) ell)^L its numerators B_k are integers (C(L,k)
-    divides c_{L-k}); each derivative is a forward difference of B times
-    the degree, and one correctly rounded int division gives each float.
+    Each is one numerator of exact._slice_numerators over ((q-ell) ell)^L,
+    divided once as ints, which Python rounds correctly to the nearest float.
     """
-    c = _tail_mass_coefficients(q, ell, L)
-    binom = _binomial_row(L)
-    B = [c[L - k] // binom[k] * (q - ell) ** (L - k) * ell**k for k in range(L + 1)]
-    for _ in range(order):
-        B = [b - a for a, b in zip(B, B[1:])]
-    scale, den = math.perm(L, order), ((q - ell) * ell) ** L
-    coef = np.array([scale * b / den for b in B], dtype=np.float64)
+    den = ((q - ell) * ell) ** L
+    coef = np.array([b / den for b in _slice_numerators(q, ell, L, order)], dtype=np.float64)
     coef.flags.writeable = False
     return coef
 

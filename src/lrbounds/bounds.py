@@ -62,11 +62,10 @@ NEWTON_EVALUATIONS = 200  # more than bisection to EB_W_TOL or down to adjacent 
 
 
 @lru_cache(maxsize=None)
-def _radius_law(q: int, ell: int, L: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Exact N_t = #{x in [q]^L with top_ell t}, the law of the radius rho = 1 - t/L.
+def _radius_law(q: int, ell: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of the radius rho = 1 - t/L as floats, from exact._radius_counts N.
 
-    Returns N (exact._radius_counts) and, on its support, rho_t and
-    log P(rho_t) = log N_t - L log q.
+    Returns, on the support of N, rho_t and log P(rho_t) = log N_t - L log q.
     """
     N = _radius_counts(q, ell, L)
     ts = [t for t, n in enumerate(N) if n]
@@ -74,7 +73,7 @@ def _radius_law(q: int, ell: int, L: int) -> tuple[tuple[int, ...], np.ndarray, 
     log_p = np.array([math.log(N[t]) for t in ts]) - L * math.log(q)
     for arr in (rho, log_p):
         arr.flags.writeable = False
-    return N, rho, log_p
+    return rho, log_p
 
 
 def p_star_w(params: Params, w: float) -> float:
@@ -93,7 +92,7 @@ def _tilt(params: Params, lam: float) -> tuple[float, float, float]:
     """
     if not lam >= 0.0:
         raise ValueError(f"need lam >= 0, got {lam}")
-    _, rho, log_p = _radius_law(params.q, params.ell, params.L)
+    rho, log_p = _radius_law(params.q, params.ell, params.L)
     x = log_p - lam * rho * math.log(params.q)
     m = float(x.max())
     tw = np.exp(x - m)
@@ -115,7 +114,7 @@ def tilted_mean(params: Params, lam: float) -> float:
 
 def _rate_at_zero(params: Params) -> float:
     # N_L counts the L-tuples whose symbols fit inside some ell-subset
-    s = _radius_law(params.q, params.ell, params.L)[0][params.L]
+    s = _radius_counts(params.q, params.ell, params.L)[params.L]
     return (params.L - math.log(s) / math.log(params.q)) / (params.L - 1)
 
 

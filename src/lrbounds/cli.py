@@ -149,13 +149,15 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         raise ValueError(f"need pmax <= 1, got {pmax}")
     grid = _curve_grid(args.pmin, pmax, args.points, args.step)
     kept = [p for p in grid if p <= clamp]
+    if not kept:  # the grid starts past p*: clamping would print p* below --pmin
+        raise ValueError(f"need pmin <= p_star={clamp:.12f}, got pmin={args.pmin}")
     if len(kept) < len(grid):
         print(
             f"warning: {len(grid) - len(kept)} grid points beyond "
             f"p_star={clamp:.12f} were clamped",
             file=sys.stderr,
         )
-        grid = kept + ([clamp] if not kept or kept[-1] < clamp else [])
+        grid = kept + ([clamp] if kept[-1] < clamp else [])
 
     threads = os.environ.get("LRB_THREADS", "1")
     try:  # still validated, but curves are evaluated in order in one thread

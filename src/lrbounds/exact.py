@@ -5,15 +5,16 @@ that needs nothing else (`lrb threshold`, `lrb curve --kind gmrsw`,
 `ry-binary-4`, `ry-qary-3`) never loads numpy.  It holds
 
 - the sorted orbits of A_{q,m} with their exact tuple counts, the binomial
-  row C(L, .), the tail-mass coefficients c_s behind g and the radius law
-  N_t behind p* and the lower bound, all Python ints and cached;
+  row C(L, .), the radius law N_t behind p* and the lower bound, and g as
+  integers: the orbit-pair sums T_s and the Bernstein numerators of g and
+  its derivatives, all Python ints and cached (c_s = C(L,s) T_s is not);
 - the zero-rate threshold p* as one exact integer ratio rounded once;
 - the q-ary and list-recovery entropies and eta_q;
 - the published comparison curves, closed forms of a Gibbs tilt;
 - BudgetExceededError, so the CLI can catch it without importing oracle.
 
-The modules that form arrays (compositions, analysis, bounds, oracle)
-import these objects back under their old names.
+The modules that form arrays take float views of these (analysis divides
+each numerator once, bounds takes logs of N) or import them by name.
 """
 
 from __future__ import annotations
@@ -75,21 +76,45 @@ def _binomial_row(L: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _split_sums(q: int, ell: int, L: int) -> tuple[int, ...]:
+    """Exact T_s = sum n_h n_t top_ell(h, t), s = 0..L, over the sorted head orbits
+    h of A_{q-ell,L-s} and tail orbits t of A_{ell,s}.
+
+    top_ell is symmetric within each block, so T_s sums top_ell over the tuples
+    of [q]^L whose first L-s draws are on the head and last s on the tail.
+    """
+    T = []
+    for s in range(L + 1):
+        tails = list(_orbits(ell, s))
+        T.append(sum(n_h * n_t * sum(sorted(h + t)[-ell:])
+                      for h, n_h in _orbits(q - ell, L - s) for t, n_t in tails))
+    return tuple(T)
+
+
 def _tail_mass_coefficients(q: int, ell: int, L: int) -> tuple[int, ...]:
     """Exact c_s = sum of C(L,a) * top_ell(a) over a in A_{q,L} with tail mass s.
 
     The tail mass s(a) is the number of draws on the last ell symbols, so
     g(w) = sum_s c_s (w/(q-ell))^(L-s) ((1-w)/ell)^s and sum_s c_s / q^L = f(uniform).
-    top_ell is symmetric within each block, so c_s = C(L,s) sum n_h n_t top_ell(h, t)
-    over sorted head orbits h of A_{q-ell,L-s} and tail orbits t of A_{ell,s}.
+    c_s = C(L,s) T_s: the s tail draws can sit at any C(L,s) of the L places.
     """
-    c, binom = [], _binomial_row(L)
-    for s in range(L + 1):
-        tails = list(_orbits(ell, s))
-        total = sum(n_h * n_t * sum(sorted(h + t)[-ell:])
-                    for h, n_h in _orbits(q - ell, L - s) for t, n_t in tails)
-        c.append(binom[s] * total)
-    return tuple(c)
+    return tuple(b * t for b, t in zip(_binomial_row(L), _split_sums(q, ell, L)))
+
+
+@lru_cache(maxsize=None)
+def _slice_numerators(q: int, ell: int, L: int, order: int) -> tuple[int, ...]:
+    """Integer numerators over D = ((q-ell) ell)^L of the Bernstein coefficients of g^(order).
+
+    Order 0: B_k = T_(L-k) (q-ell)^(L-k) ell^k, so B_k / D is the mean of
+    top_ell given k draws on the head and 0 <= B_k / D <= L.  Order r:
+    (L-r+1) times the forward difference of order r-1, so L!/(L-r)! times the
+    r-th difference of B; g^(r) has degree L-r.
+    """
+    if order == 0:
+        T = _split_sums(q, ell, L)
+        return tuple(T[L - k] * (q - ell) ** (L - k) * ell**k for k in range(L + 1))
+    prev = _slice_numerators(q, ell, L, order - 1)
+    return tuple((L - order + 1) * (b - a) for a, b in zip(prev, prev[1:]))
 
 
 @lru_cache(maxsize=None)

@@ -68,8 +68,8 @@ def ref_tail_mass_coefficients(q, ell, L):
     return tuple(c)
 
 
-def ref_slice_bernstein(q, ell, L, order):
-    """Bernstein coefficients of the order-th derivative of g, as floats of exact Fractions.
+def ref_slice_fractions(q, ell, L, order):
+    """Bernstein coefficients of the order-th derivative of g, as exact Fractions.
 
     beta_k = c_(L-k) / (C(L,k) (q-ell)^k ell^(L-k)), differenced order times
     and scaled by L!/(L-order)!.
@@ -79,7 +79,12 @@ def ref_slice_bernstein(q, ell, L, order):
             for k in range(L + 1)]
     for _ in range(order):
         beta = [b - a for a, b in zip(beta, beta[1:])]
-    return [float(math.perm(L, order) * b) for b in beta]
+    return [math.perm(L, order) * b for b in beta]
+
+
+def ref_slice_bernstein(q, ell, L, order):
+    """ref_slice_fractions rounded once to floats."""
+    return [float(b) for b in ref_slice_fractions(q, ell, L, order)]
 
 
 def ref_plurality_count(x):

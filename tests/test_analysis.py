@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from lrbounds import (
     zero_rate_threshold,
 )
 
-from lrbounds.analysis import _binomial_row, _slice_bernstein, _tail_mass_coefficients
+from lrbounds.analysis import _slice_bernstein
+from lrbounds.exact import _binomial_row, _slice_numerators, _tail_mass_coefficients
 from lrbounds.compositions import _top_ell_table, composition_table
 
 from reference import (
@@ -32,6 +34,7 @@ from reference import (
     ref_f_gradient,
     ref_f_hessian,
     ref_slice_bernstein,
+    ref_slice_fractions,
     ref_tail_mass_coefficients,
     ref_top_ell,
     second_central_diff,
@@ -289,12 +292,24 @@ def test_plus_tables_match_sorted_route():
 
 
 def test_slice_bernstein_is_the_rounded_exact_value():
-    # each float is the exact Fraction difference rounded once
+    # each numerator over D is the exact Fraction, and each float that Fraction rounded once
     sets = [(q, ell, L) for q in range(2, 9) for L in range(2, 9) for ell in range(1, q)]
     for q, ell, L in sets + [(3, 1, 40), (2, 1, 300), (2, 1, 1100)]:
+        D = ((q - ell) * ell) ** L
         for order in range(3):
+            fractions = [Fraction(b, D) for b in _slice_numerators(q, ell, L, order)]
+            assert fractions == ref_slice_fractions(q, ell, L, order), (q, ell, L, order)
             got = _slice_bernstein(q, ell, L, order).tolist()
             assert got == ref_slice_bernstein(q, ell, L, order), (q, ell, L, order)
+
+
+@pytest.mark.parametrize("params, want", [((7, 3, 4), Fraction(-2, 3)),
+                                          ((8, 5, 8), Fraction(-16576, 3125))])
+def test_g_second_at_zero_witnesses_are_exact(params, want):
+    # g''(0) is the first order-2 coefficient: exact, and what g_second rounds
+    q, ell, L = params
+    assert Fraction(_slice_numerators(q, ell, L, 2)[0], ((q - ell) * ell) ** L) == want
+    assert g_second(Params(q, ell, L), 0.0) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_G_ell_known_values():

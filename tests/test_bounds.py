@@ -34,8 +34,8 @@ from lrbounds import (
     zero_rate_threshold,
 )
 from lrbounds import bounds
-from lrbounds.analysis import _tail_mass_coefficients
-from lrbounds.bounds import _radius_law, _safeguarded_newton
+from lrbounds.bounds import _safeguarded_newton
+from lrbounds.exact import _radius_counts, _tail_mass_coefficients
 
 from reference import (
     ref_ball_count,
@@ -128,7 +128,7 @@ def small_params(draw, max_L=12, max_tuples=None):
 @given(small_params())
 def test_radius_law_counts_are_exact(params):
     q, ell, L = params.q, params.ell, params.L
-    N = _radius_law(q, ell, L)[0]
+    N = _radius_counts(q, ell, L)
     assert len(N) == L + 1
     assert sum(N) == q**L
     # sum_t t N_t = sum over [q]^L of top_ell, which is also sum_s c_s behind g
@@ -139,7 +139,7 @@ def test_radius_law_counts_are_exact(params):
 @given(small_params(max_tuples=20_000))
 def test_radius_law_degenerate_count(params):
     q, ell, L = params.q, params.ell, params.L
-    assert _radius_law(q, ell, L)[0][L] == ref_degenerate_count(q, ell, L)
+    assert _radius_counts(q, ell, L)[L] == ref_degenerate_count(q, ell, L)
 
 
 def test_large_L_lower_bound_matches_binomial_law():
@@ -250,7 +250,7 @@ INVERSION_SETS = [
 def test_newton_rates_match_reference_bisections(params):
     q, ell, L = params.q, params.ell, params.L
     pstar = zero_rate_threshold(params)
-    N = _radius_law(q, ell, L)[0]
+    N = _radius_counts(q, ell, L)
     fracs = [1e-9, 1e-4, 1e-2] + [k / 13 for k in range(1, 13)] + [1.0 - 1e-7]
     for p in (pstar * x for x in fracs):
         res = solve_lambda_star(params, p)

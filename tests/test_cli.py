@@ -146,6 +146,20 @@ def test_curve_clamps_beyond_threshold():
     assert lines[-1].split(" ")[1] == "0.000000"
 
 
+@pytest.mark.parametrize("kind", ["lower", "upper"])
+def test_curve_pmin_past_threshold_exit_2(kind):
+    # p*(2,1,3) = 1/4: a grid from 0.3 has no point at or below p* to print
+    args = ("curve", "--kind", kind, "--q", "2", "--ell", "1", "--L", "3", "--pmax", "0.5",
+            "--points", "3")
+    res = run_cli(*args, "--pmin", "0.3")
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert res.stderr == b"error: need pmin <= p_star=0.250000000000, got pmin=0.3\n"
+    res = run_cli(*args, "--pmin", "0.25")  # p* itself is still a grid point
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == b"0.250000 0.000000\n"
+
+
 def test_curve_points_and_step_are_exclusive():
     res = run_cli(
         "curve", "--kind", "lower", "--q", "2", "--ell", "1", "--L", "2",

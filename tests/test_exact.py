@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import lrbounds
-from lrbounds import analysis, bounds, exact, oracle
+from lrbounds import bounds, exact, oracle
 
 from reference import ref_orbits
 
@@ -47,15 +47,12 @@ def test_radius_counts_match_tail_mass():
 
 
 def test_moved_objects_keep_their_old_homes():
-    assert analysis._binomial_row is exact._binomial_row
-    assert analysis._tail_mass_coefficients is exact._tail_mass_coefficients
     for name in ("zero_rate_threshold", "_entropy", "entropy_q", "entropy_q_ell", "eta_q",
                  "comparison_gmrsw", "comparison_ry_binary4", "comparison_ry_qary3"):
         assert getattr(bounds, name) is getattr(exact, name), name
         assert name.startswith("_") or name in bounds.__all__
     assert oracle.BudgetExceededError is exact.BudgetExceededError
     assert "BudgetExceededError" in oracle.__all__
-    assert bounds._radius_law(3, 1, 5)[0] is exact._radius_counts(3, 1, 5)
 
 
 def test_package_names_resolve_from_their_homes():
@@ -96,6 +93,11 @@ for argv in {THRESHOLDS + COMPARISONS!r}:
     assert "numpy" not in sys.modules, argv
 assert lrbounds.zero_rate_threshold(lrbounds.Params(2, 1, 3)) == 0.25
 assert "numpy" not in sys.modules, "exact names on the package"
+from fractions import Fraction
+from lrbounds.exact import _slice_numerators
+assert Fraction(_slice_numerators(7, 3, 4, 2)[0], 12**4) == Fraction(-2, 3)
+assert len(_slice_numerators(8, 2, 10, 2)) == 9
+assert "numpy" not in sys.modules, "g's integer Bernstein numerators"
 mod = lrbounds.bounds  # no explicit import of lrbounds.bounds anywhere above
 assert mod is sys.modules["lrbounds.bounds"] and "numpy" in sys.modules
 print("ok")

@@ -1,8 +1,9 @@
-"""Two structure guards over src/lrbounds, read with the stdlib ast module.
+"""Three structure guards over src/lrbounds, read with the stdlib ast module.
 
 Every module-level import is read there or re-exported by __all__ (no linter
-runs on this tree, so this is the guard against dead aliases), and each
-argument rule is written only in params.
+runs on this tree, so this is the guard against dead aliases), each
+argument rule is written only in params, and the exact integer objects
+behind g are named only in exact.
 """
 
 import ast
@@ -49,3 +50,28 @@ def test_each_argument_rule_is_written_only_in_params():
     homes = {rule: sorted(path.name for path in PACKAGE.glob("*.py") if rule in _rule_homes(path))
              for rule in RULES}
     assert homes == {rule: ["params.py"] for rule in RULES}
+
+
+# The exact layer's integer building blocks; other modules read only its float-ready results.
+EXACT_ONLY = ("_orbits", "_binomial_row", "_split_sums")
+
+
+def _names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.update(filter(None, (n.name, n.asname)))
+        elif isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            found.add(n.name)
+    return found
+
+
+def test_exact_integer_objects_are_named_only_in_exact():
+    homes = {name: sorted(path.name for path in PACKAGE.glob("*.py") if name in _names(path))
+             for name in EXACT_ONLY}
+    assert homes == {name: ["exact.py"] for name in EXACT_ONLY}
