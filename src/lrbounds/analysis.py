@@ -141,13 +141,22 @@ def _composition_sums(tbl: CompositionTable, log_p: np.ndarray, values: np.ndarr
     Each term is exp(log C(m,a) + a . log p), so neither C(m,a) nor p^a
     overflows or underflows for m in the thousands.  Rows go in chunks of at
     most _BLOCK terms (one row if it has more), so no (rows, |A_{q,m}|)
-    array is built at once.
+    array is built at once; every chunk forms, adds and exponentiates its
+    terms in place in one buffer allocated per call.
     """
-    out = np.empty((len(log_p),) + values.shape[1:], dtype=np.float64)
-    step = max(1, _BLOCK // len(values))
-    for i in range(0, len(log_p), step):
-        terms = tbl.log_multinomials + log_p[i : i + step] @ tbl.exponents.T
-        out[i : i + step] = np.exp(terms) @ values
+    n, step = len(log_p), max(1, _BLOCK // len(values))
+    if n <= step:  # one chunk: the first product is the buffer
+        terms = log_p @ tbl.exponents
+        terms += tbl.log_multinomials
+        return np.exp(terms, out=terms) @ values
+    out = np.empty((n,) + values.shape[1:], dtype=np.float64)
+    buf = np.empty((step, len(values)), dtype=np.float64)
+    for i in range(0, n, step):
+        terms = buf[: min(step, n - i)]
+        np.matmul(log_p[i : i + step], tbl.exponents, out=terms)
+        terms += tbl.log_multinomials
+        np.exp(terms, out=terms)
+        np.matmul(terms, values, out=out[i : i + step])
     return out
 
 
@@ -217,16 +226,28 @@ def _slice_values(params: Params, order: int, ws: Sequence[float]) -> np.ndarray
     return _composition_sums(composition_table(2, len(coef) - 1), log_p, coef)
 
 
+def _slice_value(params: Params, order: int, w: float) -> float:
+    """_slice_values at one w, with log p formed from scalars instead of masked arrays.
+
+    The logs stay numpy's: math.log1p differs from np.log1p in the last bit
+    for some w, and degree L multiplies that into a 1e-13 relative error.
+    """
+    _check_w(w)
+    w = float(w)  # as the grid's float64 array would: Fraction and float32 w too
+    coef = _slice_bernstein(params.q, params.ell, params.L, order)
+    log_p = np.array([[np.log1p(-w) if w < 1.0 else _LOG_ZERO,
+                       np.log(w) if w > 0.0 else _LOG_ZERO]])
+    return float(_composition_sums(composition_table(2, len(coef) - 1), log_p, coef)[0])
+
+
 def g(params: Params, w: float) -> float:
     """f along the sliced family; g(0) = L, g(w*) = f(uniform)."""
-    _check_w(w)
-    return float(_slice_values(params, 0, [w])[0])
+    return _slice_value(params, 0, w)
 
 
 def g_prime(params: Params, w: float) -> float:
     """First derivative of g; equals <grad f(P_w), dP_w/dw>."""
-    _check_w(w)
-    return float(_slice_values(params, 1, [w])[0])
+    return _slice_value(params, 1, w)
 
 
 def G_ell(params: Params, a: Sequence[int]) -> float:
@@ -236,7 +257,7 @@ def G_ell(params: Params, a: Sequence[int]) -> float:
     sign-definite in general: G_2((1,0,0)) = -1/2 for q=3.
     """
     q, ell = params.q, params.ell
-    row = [int(x) for x in a]
+    row = [_whole("composition entry", x) for x in a]
     if len(row) != q:
         raise ValueError(f"need a length-{q} composition, got {len(row)}")
     if any(x < 0 for x in row):
@@ -252,13 +273,12 @@ def g_second(params: Params, w: float) -> float:
     g''(w) = L(L-1) sum_k (beta_{k+2} - 2 beta_{k+1} + beta_k) C(L-2,k) w^k (1-w)^(L-2-k)
     with beta_k the Bernstein coefficients of g.  Matches v^T Hess f(P_w) v.
     """
-    _check_w(w)
-    return float(_slice_values(params, 2, [w])[0])
+    return _slice_value(params, 2, w)
 
 
 def schur_ostrowski_value(params: Params, dist: DistLike, i: int, j: int) -> float:
     """(p_i - p_j)(d_i f - d_j f); non-negative iff the Schur criterion holds at (i,j)."""
-    q = params.q
+    q, i, j = params.q, _whole("i", i), _whole("j", j)
     if not (0 <= i < q and 0 <= j < q) or i == j:
         raise ValueError(f"need distinct indices in 0..{q-1}, got i={i}, j={j}")
     p = _prob_vector(q, dist)

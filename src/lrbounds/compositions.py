@@ -152,10 +152,11 @@ def majorizes(a: Sequence[float], b: Sequence[float], tol: float = MAJORIZATION_
 class CompositionTable(NamedTuple):
     """Vectorized view of A_{q,m}.
 
-    counts are exact int64 entries, exponents the same matrix as float64
-    (ready for a matrix product with log p), log_multinomials the logs of the
-    exact multinomials (finite for every m).  Arrays are read-only; tables
-    are cached per (q, m).
+    counts are exact int64 entries, shape (K, q); exponents is their
+    transpose as a C-contiguous (q, K) float64 matrix, the layout the
+    product log p @ exponents reads; log_multinomials the logs of the exact
+    multinomials (finite for every m).  Arrays are read-only; tables are
+    cached per (q, m).
     """
 
     counts: np.ndarray
@@ -179,7 +180,7 @@ def _top_ell_plus_unit(counts: np.ndarray, ell: int) -> np.ndarray:
 def composition_table(q: int, m: int) -> CompositionTable:
     rows = list(_tuples(q, m))
     counts = np.array([a for a, _ in rows], dtype=np.int64)
-    exponents = counts.astype(np.float64)
+    exponents = np.ascontiguousarray(counts.T, dtype=np.float64)
     log_mults = np.array([math.log(n) for _, n in rows], dtype=np.float64)
     for arr in (counts, exponents, log_mults):
         arr.flags.writeable = False

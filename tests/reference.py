@@ -12,6 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
+# (q, ell, L) of the benchmark pool: the ROADMAP range, a certificate that
+# fails by design, large L, and L = 1100, where multinomials overflow float.
+POOL_TRIPLES = [(2, 1, 3), (3, 1, 5), (4, 2, 6), (5, 2, 8), (6, 3, 8), (8, 2, 10),
+                (3, 2, 3), (2, 1, 300), (3, 1, 300), (2, 1, 1100)]
+
 
 def ref_compositions(q, m):
     """All length-q tuples of nonnegative ints summing to m, as a set.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +25,13 @@ from lrbounds import (
     zero_rate_threshold,
 )
 
-from lrbounds.analysis import _slice_bernstein
+from lrbounds.analysis import (_BLOCK, _composition_sums, _log_probs, _slice_bernstein,
+                               _slice_values)
 from lrbounds.exact import _binomial_row, _slice_numerators, _tail_mass_coefficients
 from lrbounds.compositions import _top_ell_table, composition_table
 
 from reference import (
+    POOL_TRIPLES,
     central_diff,
     ref_f,
     ref_f_gradient,
@@ -413,3 +416,61 @@ def test_gradient_sums_track_plurality_bounds():
         p = simplex_point(rng, params.q)
         val = f(params, p)
         assert params.ell - 1e-12 <= val <= params.L + 1e-12
+
+
+# --- the composition-sum kernel -------------------------------------------
+
+
+@pytest.mark.parametrize("q, m, step", [(8, 9, 5), (2, 300, 217)])
+def test_composition_sums_match_one_shot_at_chunk_edges(q, m, step):
+    tbl = composition_table(q, m)
+    K = len(tbl.counts)
+    assert max(1, _BLOCK // K) == step
+    rng = np.random.default_rng(11)
+    one_hot = np.eye(q)
+    for n in (0, 1, step - 1, step, step + 1, 3 * step + 1):
+        e = rng.standard_exponential((n, q))
+        ps = e / e.sum(axis=1, keepdims=True)
+        ps[::4] = one_hot[0]  # for q = 2 the rows of w = 0 and w = 1: log p holds _LOG_ZERO
+        ps[2::4] = one_hot[q - 1]
+        log_p = _log_probs(ps)
+        for values in (rng.random(K), rng.random((K, 3))):
+            want = np.exp(tbl.log_multinomials + log_p @ tbl.counts.T.astype(float)) @ values
+            got = _composition_sums(tbl, log_p, values)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=f"n={n}")
+
+
+@pytest.mark.parametrize("run", [lambda: certify_schur(Params(8, 2, 10)),
+                                 lambda: certify_convexity(Params(2, 1, 300))],
+                         ids=["schur(8,2,10)", "convexity(2,1,300)"])
+def test_composition_sums_hold_one_chunk_buffer(run):
+    # one (step, K) buffer of _BLOCK floats per call, not a temporary per step of a chunk
+    run()  # warm the table and coefficient caches
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * _BLOCK
+
+
+@pytest.mark.parametrize("triple", POOL_TRIPLES, ids=str)
+def test_scalar_slice_path_matches_the_grid(triple):
+    params = Params(*triple)
+    ws = [0.0, 5e-324, 1e-300, *(k / 64 for k in range(65)), params.w_star, 1 - 2**-53, 1.0]
+    for order, fn in enumerate((g, g_prime, g_second)):
+        coef = _slice_bernstein(*triple, order)
+        tol = 1e-15 * float(np.abs(coef).max())
+        for w in ws:
+            assert abs(fn(params, w) - _slice_values(params, order, [w])[0]) <= tol, (order, w)
+        for w, end in ((0.0, coef[0]), (1.0, coef[-1])):
+            assert fn(params, w) == _slice_values(params, order, [w])[0] == end, (order, w)
+
+
+def test_scalar_slice_path_reads_any_real_w_as_float64():
+    params = Params(3, 1, 5)
+    for w in (Fraction(1, 3), np.float32(0.25), 1, True):
+        for order, fn in enumerate((g, g_prime, g_second)):
+            assert fn(params, w) == _slice_values(params, order, [float(w)])[0], (w, order)

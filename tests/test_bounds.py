@@ -38,6 +38,7 @@ from lrbounds.bounds import _safeguarded_newton
 from lrbounds.exact import _radius_counts, _tail_mass_coefficients
 
 from reference import (
+    POOL_TRIPLES,
     ref_ball_count,
     ref_binary_lower_rate,
     ref_degenerate_count,
@@ -97,8 +98,7 @@ def test_large_L_threshold_matches_exact_binomial_sum():
     assert p_star_w(params, params.w_star) == pytest.approx(want, abs=1e-12)
 
 
-POOL = [Params(*P) for P in [(2, 1, 3), (3, 1, 5), (4, 2, 6), (5, 2, 8), (6, 3, 8), (8, 2, 10),
-                             (3, 2, 3), (2, 1, 300), (3, 1, 300), (2, 1, 1100)]]
+POOL = [Params(*P) for P in POOL_TRIPLES]
 
 
 def test_p_star_w_at_w_star_is_the_threshold():

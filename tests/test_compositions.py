@@ -153,7 +153,8 @@ def test_composition_table_contents():
         assert tab.counts.sum(axis=1).tolist() == [m] * len(comps)
         for k, c in enumerate(comps):
             assert tab.log_multinomials[k] == math.log(multinomial(m, c))
-        assert (tab.exponents == tab.counts).all()
+        assert (tab.exponents == tab.counts.T).all()
+        assert tab.exponents.flags.c_contiguous
 
 
 def test_composition_table_read_only_and_cached():

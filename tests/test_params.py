@@ -10,7 +10,8 @@ import math
 import pytest
 
 from lrbounds import Params
-from lrbounds.analysis import SlicedDistribution, g, g_prime, g_second
+from lrbounds.analysis import (G_ell, SlicedDistribution, g, g_prime, g_second,
+                               schur_ostrowski_value)
 from lrbounds.bounds import (ball_volume, ball_volume_bounds, comparison_ry_qary3,
                              covering_size_bound, covering_size_bound_lr, entropy_q,
                              entropy_q_ell, eta_q, lr_ball_volume, lr_ball_volume_bounds)
@@ -67,6 +68,10 @@ NOT_WHOLE = [
     (eta_q, (2.5, [0.1])),
     (Code, (2.5, 3, ())),
     (Code, (2, 1.5, ())),
+    (G_ell, (Params(3, 2, 3), (1.5, 0, 0))),
+    (G_ell, (Params(3, 2, 3), (1.9, 0.2, 0))),
+    (schur_ostrowski_value, (P, (0.5, 0.25, 0.25), 0.5, 1)),
+    (schur_ostrowski_value, (P, (0.5, 0.25, 0.25), 0, 1.5)),
 ]
 
 
@@ -85,3 +90,11 @@ def test_out_of_range_arguments_raise(fn, args):
 def test_non_integer_sizes_raise(fn, args):
     with pytest.raises(ValueError, match="must be an integer"):
         fn(*args)
+
+
+def test_whole_float_and_bool_indices_are_ints():
+    p = (0.5, 0.25, 0.25)
+    want = schur_ostrowski_value(P, p, 1, 0)
+    assert schur_ostrowski_value(P, p, 1.0, 0) == want
+    assert schur_ostrowski_value(P, p, True, 0.0) == want
+    assert G_ell(Params(3, 2, 3), (1.0, 0.0, 0)) == G_ell(Params(3, 2, 3), (1, 0, 0))
