@@ -34,7 +34,7 @@ import numpy as np
 
 from .compositions import CompositionTable, _top_ell_plus_unit, _top_ell_table, composition_table
 from .exact import _slice_numerators
-from .params import Params, _check_w, _list_shape, _whole
+from .params import Params, _at_least, _finite_nonnegative, _list_shape, _unit, _whole
 
 __all__ = [
     "ConvexityCertificate",
@@ -98,7 +98,7 @@ class SlicedDistribution:
     def __post_init__(self) -> None:
         for name, value in zip(("q", "ell"), _list_shape(self.q, self.ell)):
             object.__setattr__(self, name, value)
-        _check_w(self.w)
+        _unit("w", self.w)
 
     def distribution(self) -> Distribution:
         return Distribution(_sliced_probs(self.q, self.ell, self.w))
@@ -232,7 +232,7 @@ def _slice_value(params: Params, order: int, w: float) -> float:
     The logs stay numpy's: math.log1p differs from np.log1p in the last bit
     for some w, and degree L multiplies that into a 1e-13 relative error.
     """
-    _check_w(w)
+    _unit("w", w)
     w = float(w)  # as the grid's float64 array would: Fraction and float32 w too
     coef = _slice_bernstein(params.q, params.ell, params.L, order)
     log_p = np.array([[np.log1p(-w) if w < 1.0 else _LOG_ZERO,
@@ -257,11 +257,9 @@ def G_ell(params: Params, a: Sequence[int]) -> float:
     sign-definite in general: G_2((1,0,0)) = -1/2 for q=3.
     """
     q, ell = params.q, params.ell
-    row = [_whole("composition entry", x) for x in a]
+    row = [_at_least("composition entry", x, 0) for x in a]
     if len(row) != q:
         raise ValueError(f"need a length-{q} composition, got {len(row)}")
-    if any(x < 0 for x in row):
-        raise ValueError("composition entries must be non-negative")
     M = _top_ell_plus_unit(np.array(row, dtype=np.int64) + np.eye(q, dtype=np.int64), ell)
     v = _block_vector(q, ell)
     return float(v @ M @ v)
@@ -312,9 +310,8 @@ def certify_schur(
     Samples are normalized standard exponentials (flat Dirichlet) from a
     seeded PCG64 stream, so certificates are reproducible.
     """
-    samples, seed = _whole("samples", samples), _whole("seed", seed)
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
+    samples, seed = _at_least("samples", samples, 1), _whole("seed", seed)
+    _finite_nonnegative("tolerance", tolerance)
     q = params.q
     # one draw of shape (samples, q) is the same stream as samples draws of q
     e = np.random.default_rng(seed).standard_exponential((samples, q))
@@ -364,9 +361,8 @@ def certify_convexity(
     tolerance: float = CERT_TOL,
 ) -> ConvexityCertificate:
     """Grid-minimize g'' and count dips below -tolerance."""
-    grid_points = _whole("grid_points", grid_points)
-    if grid_points < 2:
-        raise ValueError(f"need grid_points >= 2, got {grid_points}")
+    grid_points = _at_least("grid_points", grid_points, 2)
+    _finite_nonnegative("tolerance", tolerance)
     lo, hi = interval if interval is not None else default_interval(params)
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bad interval [{lo}, {hi}]")
@@ -400,9 +396,8 @@ def certify_monotonicity_g(
     params: Params, grid_points: int = 1001, tolerance: float = CERT_TOL
 ) -> MonotonicityCertificate:
     """Check g is non-increasing left of w* = (q-ell)/q and non-decreasing right."""
-    grid_points = _whole("grid_points", grid_points)
-    if grid_points < 3:
-        raise ValueError(f"need grid_points >= 3, got {grid_points}")
+    grid_points = _at_least("grid_points", grid_points, 3)
+    _finite_nonnegative("tolerance", tolerance)
     wstar = params.w_star
     ws = np.unique(np.append(np.linspace(0.0, 1.0, grid_points), wstar))
     vals = _slice_values(params, 0, ws)

@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import g, g_prime, lipschitz_g
 from .exact import (_entropy, _radius_counts, comparison_gmrsw, comparison_ry_binary4,
                     comparison_ry_qary3, entropy_q, entropy_q_ell, eta_q, zero_rate_threshold)
-from .params import Params, _alphabet, _whole
+from .params import Params, _alphabet, _at_least, _finite_nonnegative, _open_unit, _unit, _whole
 
 __all__ = [
     "BoundCurve",
@@ -90,8 +90,7 @@ def _tilt(params: Params, lam: float) -> tuple[float, float, float]:
     All three come from one weight vector tw ~ P(rho_t) q^(-lam rho_t),
     scaled so its largest entry is 1, and its one sum.
     """
-    if not lam >= 0.0:
-        raise ValueError(f"need lam >= 0, got {lam}")
+    _finite_nonnegative("lam", lam)
     rho, log_p = _radius_law(params.q, params.ell, params.L)
     x = log_p - lam * rho * math.log(params.q)
     m = float(x.max())
@@ -132,6 +131,14 @@ class FixedPointResult:
     rate: float
     iterations: int
     residual: float
+
+
+def _below_threshold(params: Params, p: float) -> float:
+    """p* of params, or ValueError unless 0 <= p < p*."""
+    pstar = zero_rate_threshold(params)
+    if not 0.0 <= p < pstar:
+        raise ValueError(f"need 0 <= p < p* = {pstar}, got {p}")
+    return pstar
 
 
 def _safeguarded_newton(
@@ -184,9 +191,7 @@ def solve_lambda_star(params: Params, p: float) -> FixedPointResult:
     all come from one tilt of the radius law.  About 4-7 evaluations per
     point; the cap is evaluated at most once.
     """
-    pstar = zero_rate_threshold(params)
-    if not 0.0 <= p < pstar:
-        raise ValueError(f"need 0 <= p < p* = {pstar}, got {p}")
+    _below_threshold(params, p)
     if p == 0.0:
         return FixedPointResult(math.inf, _rate_at_zero(params), 0, 0.0)
 
@@ -214,8 +219,7 @@ def solve_lambda_star(params: Params, p: float) -> FixedPointResult:
 
 def lower_bound_rate(params: Params, p: float) -> float:
     """Random-coding rate bound; positive below p*, exactly 0 from p* on."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"need p in [0,1], got {p}")
+    _unit("p", p)
     if p >= zero_rate_threshold(params):
         return 0.0
     return solve_lambda_star(params, p).rate
@@ -234,9 +238,7 @@ def eb_upper_bound_rate(params: Params, p: float) -> float:
     g(w*) = L(1 - p*) and g'(w*) = 0, and takes about 4-6 evaluations of g
     and g' per point.
     """
-    pstar = zero_rate_threshold(params)
-    if not 0.0 <= p < pstar:
-        raise ValueError(f"need 0 <= p < p* = {pstar}, got {p}")
+    pstar = _below_threshold(params, p)
     if p == 0.0:
         return 1.0 - math.log(params.ell) / math.log(params.q)
     target = params.L * (1.0 - p)
@@ -270,8 +272,7 @@ def plotkin_constants(params: Params, tau: float, eps1: float) -> PlotkinConstan
     c is reported as log10(c).  Requires 0 < tau < 1 and
     0 < eps1 <= L tau / (8 lip(g)).
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"need 0 < tau < 1, got {tau}")
+    _open_unit("tau", tau)
     q, ell, L = params.q, params.ell, params.L
     lip = lipschitz_g(params)
     cap = L * tau / (8.0 * lip)
@@ -299,8 +300,7 @@ def unconstrained_multiplier(params: Params, tau: float) -> float:
     4 lip(g) / (L tau) + 1, with an extra factor q in the ell = 1 case
     (translation classes instead of weight shells).
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"need 0 < tau < 1, got {tau}")
+    _open_unit("tau", tau)
     base = 4.0 * lipschitz_g(params) / (params.L * tau) + 1.0
     return params.q * base if params.ell == 1 else base
 
@@ -309,11 +309,7 @@ def unconstrained_multiplier(params: Params, tau: float) -> float:
 
 
 def _ball_volume(q: int, ell: int, n: int, radius: int) -> int:
-    n, radius = _whole("n", n), _whole("radius", radius)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if radius < 0:
-        raise ValueError(f"need radius >= 0, got {radius}")
+    n, radius = _at_least("n", n, 0), _at_least("radius", radius, 0)
     r = min(radius, n)
     return sum(math.comb(n, i) * (q - ell) ** i * ell ** (n - i) for i in range(r + 1))
 
@@ -351,11 +347,8 @@ def lr_ball_volume_bounds(params: Params, n: int, w: float) -> tuple[float, floa
 
 
 def _covering_size(q: int, ell: int, n: int, w: float) -> float:
-    n = _whole("n", n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"need 0 < w < 1, got {w}")
+    n = _at_least("n", n, 2)
+    _open_unit("w", w)
     return n * math.log(q) * math.sqrt(8.0 * n * w * (1.0 - w)) * float(q) ** (
         n * (1.0 - _entropy(q, ell, w))
     ) + 1.0

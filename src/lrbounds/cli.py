@@ -31,7 +31,7 @@ from typing import Sequence
 
 from . import exact
 from .metrics import Code
-from .params import Params
+from .params import Params, _at_least
 
 CURVE_KINDS = ("lower", "upper", "gmrsw", "ry-binary-4", "ry-qary-3")
 
@@ -118,9 +118,7 @@ def _curve_grid(pmin: float, pmax: float, points: int | None, step: float | None
             grid.append(min(p, pmax))
             k += 1
         return grid
-    count = 100 if points is None else points
-    if count < 2:
-        raise ValueError(f"need at least 2 points, got {count}")
+    count = 100 if points is None else _at_least("points", points, 2)
     return [pmin + (pmax - pmin) * i / (count - 1) for i in range(count)]
 
 

@@ -21,6 +21,8 @@ from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from .params import _at_least
+
 __all__ = [
     "Composition",
     "CompositionTable",
@@ -41,15 +43,10 @@ class Composition:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cleaned = []
-        for e in self.entries:
-            ie = int(e)
-            if ie != e or ie < 0:
-                raise ValueError(f"entries must be non-negative integers, got {e!r}")
-            cleaned.append(ie)
+        cleaned = tuple(_at_least("composition entry", e, 0) for e in self.entries)
         if not cleaned:
             raise ValueError("composition needs at least one part")
-        object.__setattr__(self, "entries", tuple(cleaned))
+        object.__setattr__(self, "entries", cleaned)
 
     @property
     def total(self) -> int:
@@ -80,10 +77,7 @@ def _tuples(q: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
     The multinomial is a product of binomials C(remaining, head) along the
     recursion, each binomial updated from the previous head by one exact step.
     """
-    if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
-    if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
+    q, m = _at_least("q", q, 1), _at_least("m", m, 0)
 
     def rec(parts_left: int, remaining: int, prefix: tuple[int, ...], n: int):
         if parts_left == 1:

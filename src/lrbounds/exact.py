@@ -23,7 +23,7 @@ import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .params import Params, _alphabet, _check_w, _whole
+from .params import Params, _alphabet, _at_least, _nonnegative, _unit
 
 
 class BudgetExceededError(RuntimeError):
@@ -149,7 +149,7 @@ def zero_rate_threshold(params: Params) -> float:
 
 
 def _entropy(q: int, ell: int, w: float) -> float:
-    _check_w(w)
+    _unit("w", w)
     lnq = math.log(q)
     out = 0.0
     if w > 0.0:  # a difference of logs: (q - ell)/w overflows for subnormal w
@@ -216,19 +216,15 @@ def _divergence_to_cap(u1: float, u2: float, cap: float) -> float:
 
 def comparison_ry_binary4(p: float) -> float:
     """Binary (ell=1, L=4) curve: (1/3) min over the two-weight relaxation."""
-    if not p >= 0.0:
-        raise ValueError(f"need p >= 0, got {p}")
+    _nonnegative("p", p)
     # 3 - eta_2(x) - 2 x1 - log2(3) x2 = D(x || (1, 4, 3)/8) / ln 2
     return _divergence_to_cap(4.0, 3.0, 4.0 * p) / (3.0 * math.log(2.0))
 
 
 def comparison_ry_qary3(q: int, p: float) -> float:
     """q-ary (ell=1, L=3) curve: (1/2) min over the two-weight relaxation."""
-    q = _whole("q", q)
-    if q < 3:
-        raise ValueError(f"need q >= 3, got {q}")
-    if not p >= 0.0:
-        raise ValueError(f"need p >= 0, got {p}")
+    q = _at_least("q", q, 3)
+    _nonnegative("p", p)
     # 2 - eta_q(x) - log_q(3(q-1)) x1 - log_q((q-1)(q-2)) x2 = D(x || (1, u1, u2)/q^2) / ln q
     u1, u2 = 3.0 * (q - 1), float((q - 1) * (q - 2))
     return _divergence_to_cap(u1, u2, 3.0 * p) / (2.0 * math.log(q))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .params import _alphabet, _list_shape, _whole
+from .params import _alphabet, _at_least, _list_shape, _whole
 
 __all__ = [
     "Code",
@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 Word = tuple  # word: tuple of symbols in 1..q
-ListTuple = tuple  # input lists: tuple of sorted ell-subsets of 1..q, one per coordinate
 
 
 def _validate_symbols(x: Sequence[int], q: int) -> None:
@@ -34,6 +33,14 @@ def _validate_symbols(x: Sequence[int], q: int) -> None:
     for s in x:
         if int(s) != s or not 1 <= s <= q:
             raise ValueError(f"symbol {s!r} outside 1..{q}")
+
+
+def _word_length(xs: Sequence[Sequence[int]]) -> int:
+    """The one length of the words xs (at least one), or ValueError when lengths differ."""
+    n = len(xs[0])
+    if any(len(x) != n for x in xs):
+        raise ValueError("words must share one length")
+    return n
 
 
 def _symbol_counts(x: Sequence[int], q: int) -> list[int]:
@@ -100,12 +107,7 @@ def average_radius_ell(xs: Sequence[Sequence[int]], ell: int) -> float:
     L = len(xs)
     if L < 2:
         raise ValueError(f"need at least 2 words, got {L}")
-    n = len(xs[0])
-    if any(len(x) != n for x in xs):
-        raise ValueError("words must share one length")
-    ell = _whole("ell", ell)
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
+    n, ell = _word_length(xs), _at_least("ell", ell, 1)
     total = 0
     for j in range(n):
         col_counts: dict[int, int] = {}
@@ -125,9 +127,7 @@ class Code:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _alphabet(self.q))
-        object.__setattr__(self, "n", _whole("n", self.n))
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        object.__setattr__(self, "n", _at_least("n", self.n, 1))
         norm = tuple(tuple(int(s) for s in w) for w in self.words)
         for w in norm:
             if len(w) != self.n:

@@ -19,8 +19,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .exact import BudgetExceededError
-from .metrics import Code, _validate_symbols, average_radius_ell, plurality_ell
-from .params import Params, _list_shape, _whole
+from .metrics import Code, _validate_symbols, _word_length, average_radius_ell, plurality_ell
+from .params import Params, _at_least, _list_shape, _nonnegative, _unit, _whole
 
 __all__ = [
     "BudgetExceededError",
@@ -42,12 +42,10 @@ POINT_BUDGET = 10**7
 def _validate_words(xs: Sequence[Sequence[int]], q: int) -> tuple[int, int]:
     if len(xs) == 0:
         raise ValueError("need at least one word")
-    n = len(xs[0])
+    n = _word_length(xs)
     if n == 0:
         raise ValueError("words must be non-empty")
     for x in xs:
-        if len(x) != n:
-            raise ValueError("words must share one length")
         _validate_symbols(x, q)
     return len(xs), n
 
@@ -143,8 +141,7 @@ def check_list_recoverable(
     lexicographic order with L or more of them, and those codewords in code
     order.  Budget 10^6 centers.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"need p in [0,1], got {p}")
+    _unit("p", p)
     params = Params(code.q, ell, L)
     if code.size < params.L:
         return True, None
@@ -202,11 +199,8 @@ def random_expurgated_code(
     lexicographically largest codeword is removed and the scan restarts,
     until every L-subset has average radius strictly above n*p.
     """
-    n, seed = _whole("n", n), _whole("seed", seed)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"need p in [0,1], got {p}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n, seed = _at_least("n", n, 1), _whole("seed", seed)
+    _unit("p", p)
     if not target_rate > 0.0:
         raise ValueError(f"need target_rate > 0, got {target_rate}")
     q, ell, L = params.q, params.ell, params.L
@@ -242,9 +236,7 @@ def estimate_threshold_mc(params: Params, samples: int = 10**6, seed: int = 1) -
     Returns (mean, standard error); samples must be at least 10^3 for the
     normal-approximation error bar to mean anything.
     """
-    samples, seed = _whole("samples", samples), _whole("seed", seed)
-    if samples < 10**3:
-        raise ValueError(f"need samples >= 1000, got {samples}")
+    samples, seed = _at_least("samples", samples, 10**3), _whole("seed", seed)
     q, ell, L = params.q, params.ell, params.L
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, q, size=(samples, L), dtype=np.min_scalar_type(q - 1))
@@ -276,11 +268,8 @@ def verify_covering(
     if ell is None:
         centers, ell = [tuple((s,) for s in word) for word in centers], 1
     q, ell = _list_shape(q, ell)
-    n = _whole("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not radius >= 0:  # NaN fails too
-        raise ValueError(f"need radius >= 0, got {radius}")
+    n = _at_least("n", n, 1)
+    _nonnegative("radius", radius)
     total = q**n
     if total > POINT_BUDGET:
         raise BudgetExceededError(f"{q}^{n} points exceed the budget of {POINT_BUDGET}")

@@ -1,8 +1,10 @@
 """Shared parameter triple for list-recovery quantities, and the one home of
-each argument rule (whole number, alphabet size, list shape, w in [0, 1])."""
+each argument rule that more than one function applies: whole numbers and floors,
+alphabet, list shape, [0, 1], (0, 1) and non-negative reals; NaN fails every rule."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -15,6 +17,14 @@ def _whole(name: str, value) -> int:
     if not whole:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _at_least(name: str, value, floor: int) -> int:
+    """value as an int, or ValueError unless it is a whole number >= floor."""
+    value = _whole(name, value)
+    if value < floor:
+        raise ValueError(f"need {name} >= {floor}, got {value}")
+    return value
 
 
 def _alphabet(q) -> int:
@@ -33,10 +43,28 @@ def _list_shape(q, ell) -> tuple[int, int]:
     return q, ell
 
 
-def _check_w(w: float) -> None:
-    """ValueError unless 0 <= w <= 1; NaN fails too."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"need w in [0,1], got {w}")
+def _unit(name: str, value: float) -> None:
+    """ValueError unless value lies in the closed unit interval [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"need {name} in [0,1], got {value}")
+
+
+def _open_unit(name: str, value: float) -> None:
+    """ValueError unless value lies in the open unit interval (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"need 0 < {name} < 1, got {value}")
+
+
+def _nonnegative(name: str, value: float) -> None:
+    """ValueError unless value >= 0; inf passes."""
+    if not value >= 0.0:
+        raise ValueError(f"need {name} >= 0, got {value}")
+
+
+def _finite_nonnegative(name: str, value: float) -> None:
+    """ValueError unless 0 <= value < inf."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"need finite {name} >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +82,8 @@ class Params:
 
     def __post_init__(self) -> None:
         q, ell = _list_shape(self.q, self.ell)
-        for name, value in (("q", q), ("ell", ell), ("L", _whole("L", self.L))):
+        for name, value in (("q", q), ("ell", ell), ("L", _at_least("L", self.L, 2))):
             object.__setattr__(self, name, value)
-        if self.L < 2:
-            raise ValueError(f"need L >= 2, got L={self.L}")
 
     @property
     def w_star(self) -> float:

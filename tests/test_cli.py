@@ -186,6 +186,12 @@ def test_curve_grid_rejects_non_finite_step():
     assert _curve_grid(0.0, 0.2, None, 0.1) == [0.0, 0.1, 0.2]
 
 
+def test_curve_grid_needs_two_points():
+    for points in (1, 0):
+        with pytest.raises(ValueError, match=f"need points >= 2, got {points}"):
+            _curve_grid(0.0, 0.25, points, None)
+
+
 def test_curve_nan_step_exit_2():
     for step in ("nan", "inf"):
         res = run_cli("curve", "--kind", "gmrsw", "--step", step)
@@ -221,6 +227,15 @@ def test_certify_reports_convexity_failure():
     assert kv["overall"] == "FAIL"
     assert int(kv["convexity_violations"]) > 0
     assert float(kv["convexity_min"]) < -1e-9
+
+
+def test_certify_rejects_a_tolerance_that_is_not_finite_and_non_negative():
+    # at (3,2,3) --tol inf used to print overall=PASS although g''(1) = -3
+    for tol in ("nan", "inf", "-1"):
+        res = run_cli("certify", "--q", "3", "--ell", "2", "--L", "3", "--tol", tol)
+        assert res.returncode == 2
+        assert res.stdout == b""
+        assert res.stderr == f"error: need finite tolerance >= 0, got {float(tol)}\n".encode()
 
 
 def test_oracle_mc_threshold_output():

@@ -1,14 +1,15 @@
 """Three structure guards over src/lrbounds, read with the stdlib ast module.
 
 Every module-level import is read there or re-exported by __all__ (no linter
-runs on this tree, so this is the guard against dead aliases), each
-argument rule is written only in params, and the exact integer objects
-behind g are named only in exact.
+runs on this tree, so this is the guard against dead aliases), each shared
+argument rule is written only in its home module (params, or metrics for
+word length), and the exact integer objects behind g are named only in exact.
 """
 
 import ast
 import importlib
 import pathlib
+import re
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "lrbounds"
 
@@ -36,20 +37,30 @@ def test_every_module_level_import_is_read_or_exported():
     assert unread == []
 
 
-# The literal pieces of the rules' error messages; params is their one home.
-RULES = ("need q >= 2", "need 1 <= ell <= q-1", "need w in [0,1]")
+# Each shared argument rule's error message, as a pattern over a module's string
+# literals, and the one module that may hold it.  An f-string is read as its
+# source, so the template `need {name} >= {floor}` and a copy `need n >= 1` both match.
+RULES = {
+    r"need \S+ >= \S": "params.py",
+    r" in \[0,1\]": "params.py",
+    r"need 0 < \S+ < 1": "params.py",
+    r"need 1 <= ell <= q-1": "params.py",
+    r"words must share one length": "metrics.py",
+}
 
 
-def _rule_homes(path):
+def _strings(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return {rule for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
-            for rule in RULES if rule in n.value}
+    return [ast.unparse(n) if isinstance(n, ast.JoinedStr) else n.value for n in ast.walk(tree)
+            if isinstance(n, ast.JoinedStr)
+            or isinstance(n, ast.Constant) and isinstance(n.value, str)]
 
 
-def test_each_argument_rule_is_written_only_in_params():
-    homes = {rule: sorted(path.name for path in PACKAGE.glob("*.py") if rule in _rule_homes(path))
-             for rule in RULES}
-    assert homes == {rule: ["params.py"] for rule in RULES}
+def test_each_shared_rule_is_written_only_in_its_home():
+    strings = {path.name: _strings(path) for path in sorted(PACKAGE.glob("*.py"))}
+    homes = {rule: [name for name, found in strings.items()
+                    if any(re.search(rule, s) for s in found)] for rule in RULES}
+    assert homes == {rule: [home] for rule, home in RULES.items()}
 
 
 # The exact layer's integer building blocks; other modules read only its float-ready results.
