@@ -13,6 +13,7 @@ imported here under their public names.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
@@ -92,7 +93,13 @@ def _tilt(params: Params, lam: float) -> tuple[float, float, float]:
     """
     _finite_nonnegative("lam", lam)
     rho, log_p = _radius_law(params.q, params.ell, params.L)
-    x = log_p - lam * rho * math.log(params.q)
+    # lam*rho*log q overflows to inf where rho > 0 only if lam*log q (a Python
+    # float, silently inf) does; -inf is then the exact weight limit, and the
+    # rho = 0 atom (N_L >= 1) keeps x.max() finite.  errstate costs a sixth
+    # of a tilt, so it is entered only then.
+    overflows = lam * math.log(params.q) == math.inf
+    with np.errstate(over="ignore") if overflows else nullcontext():
+        x = log_p - lam * rho * math.log(params.q)
     m = float(x.max())
     tw = np.exp(x - m)
     total = tw.sum()

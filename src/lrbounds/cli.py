@@ -162,14 +162,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         int(threads)
     except ValueError:
         raise ValueError(f"LRB_THREADS must be an integer, got {threads!r}") from None
-    rates = [rate(p) for p in grid]
     prec = args.precision
-    lines = [f"{p:.{prec}f} {r:.{prec}f}" for p, r in zip(grid, rates)]
-    formatted_ps = [line.split()[0] for line in lines]
-    if len(set(formatted_ps)) != len(formatted_ps):
+    ps = [f"{p:.{prec}f}" for p in grid]
+    if len(set(ps)) != len(ps):  # checked before any rate is computed
         raise ValueError("grid too dense for --precision; increase precision or thin the grid")
 
-    text = "\n".join(lines) + "\n"
+    text = "".join(f"{s} {rate(p):.{prec}f}\n" for s, p in zip(ps, grid))
     if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)

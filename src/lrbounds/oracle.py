@@ -6,7 +6,8 @@ radius and the list-recoverability check share one pruned depth-first walk
 over the centers, and covering by Hamming balls is covering by lr-balls
 around singleton lists (ell = 1).  Randomized routines (expurgated random
 codes, Monte-Carlo threshold estimates) take an explicit seed and use a
-fresh PCG64 stream per call.
+fresh PCG64 stream per call; expurgation evaluates each L-subset of the
+sampled words at most once, in one pass.
 """
 
 from __future__ import annotations
@@ -170,23 +171,6 @@ class ExpurgationReport:
         return math.log(self.achieved_size) / (self.n * math.log(q))
 
 
-def _first_bad_subset(
-    words: list[tuple], p: float, ell: int, L: int, n: int
-) -> tuple[Optional[tuple[int, ...]], float]:
-    """First L-subset with average radius <= n*p, and the least radius seen.
-
-    When no subset is bad the scan has seen them all, so the least radius is
-    the minimum over the code (inf below L words).
-    """
-    least, threshold = math.inf, n * p
-    for idxs in combinations(range(len(words)), L):
-        radius = average_radius_ell([words[i] for i in idxs], ell)
-        least = min(least, radius)
-        if radius <= threshold:
-            return idxs, least
-    return None, least
-
-
 def random_expurgated_code(
     params: Params, p: float, n: int, target_rate: float, seed: int
 ) -> tuple[Code, ExpurgationReport]:
@@ -195,9 +179,15 @@ def random_expurgated_code(
     Raises BudgetExceededError before sampling when q^(n*rate) exceeds
     POINT_BUDGET words.
 
-    A subset is bad when its average lr-radius is <= n*p; its
-    lexicographically largest codeword is removed and the scan restarts,
-    until every L-subset has average radius strictly above n*p.
+    A subset is bad when its average lr-radius is <= n*p.  One pass over
+    the L-subsets in combinations order skips those holding a removed word
+    and removes the lexicographically largest word of each bad one, so every
+    L-subset left has average radius above n*p.  It keeps what a scan
+    restarted after each removal would: every surviving subset before the
+    current one was evaluated once and found good, and a removal changes no
+    other subset's radius, so the restarted scan's first bad subset is the
+    pass's next one.  min_avg_radius (inf below L words) is the pass's own
+    minimum when nothing was removed, else one more scan of the survivors.
     """
     n, seed = _at_least("n", n, 1), _whole("seed", seed)
     _unit("p", p)
@@ -214,18 +204,21 @@ def random_expurgated_code(
     words = list(dict.fromkeys(tuple(int(s) for s in row) for row in draws))
     distinct_size = len(words)
 
-    removed = 0
-    while True:
-        bad, min_avg = _first_bad_subset(words, p, ell, L, n)
-        if bad is None:
-            break
-        victim = max(words[i] for i in bad)
-        words.remove(victim)
-        removed += 1
+    threshold, removed, min_avg = n * p, set(), math.inf
+    for idxs in combinations(range(distinct_size), L):
+        if removed.isdisjoint(idxs):
+            radius = average_radius_ell([words[i] for i in idxs], ell)
+            min_avg = min(min_avg, radius)
+            if radius <= threshold:
+                removed.add(max(idxs, key=words.__getitem__))
+    words = [w for i, w in enumerate(words) if i not in removed]
+    if removed:
+        subsets = combinations(words, L)
+        min_avg = min((average_radius_ell(list(s), ell) for s in subsets), default=math.inf)
 
     code = Code(q, n, tuple(words))
     report = ExpurgationReport(
-        n, target_rate, seed, target_size, distinct_size, len(words), removed, min_avg
+        n, target_rate, seed, target_size, distinct_size, len(words), len(removed), min_avg
     )
     return code, report
 

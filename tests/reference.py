@@ -400,3 +400,26 @@ def ref_eb_rate(q, ell, L, p, g):
     w = 0.5 * (lo + hi)
     h = (w * math.log((q - ell) / w) if w > 0.0 else 0.0) + (1.0 - w) * math.log(ell / (1.0 - w))
     return max(0.0, 1.0 - h / math.log(q))
+
+
+def ref_expurgate_restart(words, p, ell, L, n, radius):
+    """Expurgation by restarted scans: find the first L-subset (combinations
+    order over the current words) with radius <= n*p, drop its
+    lexicographically largest word, rescan from the start; stop when a scan
+    finds none.  Returns (kept words, removed count, least radius of the
+    final scan), the least radius inf below L words.
+    """
+    words = list(words)
+    removed = 0
+    while True:
+        least, bad = math.inf, None
+        for idxs in itertools.combinations(range(len(words)), L):
+            r = radius([words[i] for i in idxs], ell)
+            least = min(least, r)
+            if r <= n * p:
+                bad = idxs
+                break
+        if bad is None:
+            return words, removed, least
+        words.remove(max(words[i] for i in bad))
+        removed += 1

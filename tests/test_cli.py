@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from lrbounds import Code
-from lrbounds.cli import _curve_grid, read_code_file, write_code_file
+import lrbounds.bounds
+from lrbounds.cli import _curve_grid, main, read_code_file, write_code_file
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -132,6 +133,23 @@ def test_curve_precision_and_out_file(tmp_path):
     data = out.read_text().splitlines()
     assert len(data) == 5
     assert len(data[0].split(" ")[1].split(".")[1]) == 9
+
+
+def test_curve_too_dense_for_precision_exits_before_any_rate(monkeypatch, capsys, tmp_path):
+    def no_rates(params, p):
+        raise AssertionError("a rate was computed for a grid that cannot be printed")
+
+    monkeypatch.setattr(lrbounds.bounds, "lower_bound_rate", no_rates)
+    out = tmp_path / "curve.dat"
+    code = main([
+        "curve", "--kind", "lower", "--q", "2", "--ell", "1", "--L", "3",
+        "--points", "20000", "--precision", "2", "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "grid too dense for --precision" in captured.err
+    assert not out.exists()
 
 
 def test_curve_clamps_beyond_threshold():

@@ -23,7 +23,12 @@ from lrbounds import (
     zero_rate_threshold,
 )
 
-from reference import ref_avg_radius_by_centers, ref_exact_radius, ref_first_witness
+from reference import (
+    ref_avg_radius_by_centers,
+    ref_exact_radius,
+    ref_expurgate_restart,
+    ref_first_witness,
+)
 
 
 def _random_words(rng, q, n, count):
@@ -233,6 +238,65 @@ def test_expurgation_removes_on_dense_instances():
             assert rep.min_avg_radius > 12 * 0.45
         assert rep.min_avg_radius == _brute_min_avg_radius(code, params)
     assert removed > 0
+
+
+# (q, ell, L), p, n, rate: the benchmark's (2,1,3) instance over the upper
+# half of [0, p*) (p = p*·k/64, p* = 1/4), then a spread of other shapes
+EXPURGATION_CASES = [((2, 1, 3), 0.25 * k / 64, 10, 0.4) for k in range(32, 64)] + [
+    ((2, 1, 3), 0.05, 10, 0.4),
+    ((2, 1, 3), 0.2, 10, 0.4),
+    ((2, 1, 3), 0.24, 10, 0.4),
+    ((2, 1, 2), 0.45, 12, 0.3),
+    ((2, 1, 2), 0.1, 30, 0.05),
+    ((3, 1, 3), 0.3, 8, 0.4),
+    ((4, 2, 3), 0.15, 8, 0.3),
+    ((2, 1, 4), 0.2, 11, 0.45),
+    ((3, 2, 3), 0.1, 9, 0.35),
+]
+
+
+@pytest.mark.parametrize(
+    "triple, p, n, rate",
+    EXPURGATION_CASES,
+    ids=[f"{t}-p{p}-n{n}-r{r}" for t, p, n, r in EXPURGATION_CASES],
+)
+def test_expurgation_matches_restarted_scan(monkeypatch, triple, p, n, rate):
+    params = Params(*triple)
+    for seed in range(1, 11):
+        # both sides read one memo of the radius, a pure function of the words
+        memo = {}
+
+        def radius(xs, ell):
+            key = tuple(xs)
+            if key not in memo:
+                memo[key] = average_radius_ell(xs, ell)
+            return memo[key]
+
+        monkeypatch.setattr(lrbounds.oracle, "average_radius_ell", radius)
+        code, rep = random_expurgated_code(params, p, n, rate, seed)
+        target_size = math.ceil(float(params.q) ** (n * rate))
+        draws = np.random.default_rng(seed).integers(1, params.q + 1, size=(target_size, n))
+        words = list(dict.fromkeys(tuple(int(s) for s in row) for row in draws))
+        kept, removed, least = ref_expurgate_restart(words, p, params.ell, params.L, n, radius)
+        assert code.words == tuple(kept)
+        assert (rep.n, rep.target_rate, rep.seed) == (n, rate, seed)
+        assert (rep.target_size, rep.distinct_size) == (target_size, len(words))
+        assert (rep.achieved_size, rep.removed_count) == (len(kept), removed)
+        assert rep.min_avg_radius == least
+
+
+def test_expurgation_evaluates_each_subset_at_most_once(monkeypatch):
+    # one pass over the distinct words, then one scan of the survivors
+    calls = []
+
+    def counted(xs, ell):
+        calls.append(None)
+        return average_radius_ell(xs, ell)
+
+    monkeypatch.setattr(lrbounds.oracle, "average_radius_ell", counted)
+    code, rep = random_expurgated_code(Params(2, 1, 3), 0.16, 10, 0.4, seed=5)
+    assert rep.removed_count > 0
+    assert len(calls) <= math.comb(rep.distinct_size, 3) + math.comb(rep.achieved_size, 3)
 
 
 def test_mc_threshold_matches_closed_form():

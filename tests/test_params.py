@@ -9,6 +9,7 @@ it sits in, and that NaN fails every float argument.
 """
 
 import math
+import warnings
 
 import pytest
 
@@ -178,3 +179,12 @@ def test_no_centers_cover_nothing():
 def test_huge_finite_lambda_still_tilts():
     assert 0.0 <= tilted_mean(P, 1e308) < tilted_mean(P, 1.0)
     assert 0.0 < mgf(P, 1e308) < 1.0
+
+
+def test_huge_finite_lambda_tilts_without_overflow_warnings():
+    # lam*rho*log 16 overflows a float at lam = 1e308; the limit is still exact
+    P16 = Params(16, 1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tilted_mean(P16, 1e308) == 0.0
+        assert mgf(P16, 1e308) == mgf(P16, 1e300)
