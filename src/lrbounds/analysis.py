@@ -395,17 +395,21 @@ class MonotonicityCertificate:
 def certify_monotonicity_g(
     params: Params, grid_points: int = 1001, tolerance: float = CERT_TOL
 ) -> MonotonicityCertificate:
-    """Check g is non-increasing left of w* = (q-ell)/q and non-decreasing right."""
+    """Check g is non-increasing left of w* = (q-ell)/q and non-decreasing right.
+
+    The grid is linspace(0, 1, grid_points) with w* put in once: any point
+    within 1e-15 of w* gives way to w* itself, and the differences split at it.
+    """
     grid_points = _at_least("grid_points", grid_points, 3)
     _finite_nonnegative("tolerance", tolerance)
     wstar = params.w_star
-    ws = np.unique(np.append(np.linspace(0.0, 1.0, grid_points), wstar))
-    vals = _slice_values(params, 0, ws)
-    diffs = np.diff(vals)
-    left = ws[1:] <= wstar + 1e-15
-    right = ws[:-1] >= wstar - 1e-15
-    max_inc = float(diffs[left].max())  # w* is on the grid and 0 < w* < 1: neither side is empty
-    max_dec = float((-diffs[right]).max())
+    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = grid[np.abs(grid - wstar) > 1e-15]  # w* once: no rounding-noise segment beside it
+    k = int(np.searchsorted(grid, wstar))
+    ws = np.insert(grid, k, wstar)
+    diffs = np.diff(_slice_values(params, 0, ws))
+    max_inc = float(diffs[:k].max())  # 0 < w* < 1 and 0, 1 stay: neither side is empty
+    max_dec = float((-diffs[k:]).max())
     return MonotonicityCertificate(params, len(ws), wstar, max_inc, max_dec, tolerance)
 
 

@@ -26,7 +26,6 @@ from .exact import (_entropy, _radius_counts, comparison_gmrsw, comparison_ry_bi
 from .params import Params, _alphabet, _at_least, _finite_nonnegative, _open_unit, _unit, _whole
 
 __all__ = [
-    "BoundCurve",
     "FixedPointResult",
     "PlotkinConstants",
     "ball_volume",
@@ -369,21 +368,3 @@ def covering_size_bound(q: int, n: int, w: float) -> float:
 def covering_size_bound_lr(params: Params, n: int, w: float) -> float:
     """Greedy cover of [q]^n by lr-balls around input-list tuples."""
     return _covering_size(params.q, params.ell, n, w)
-
-
-# --- emitted curves ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """A (p, rate) table with strictly increasing p and non-negative rates."""
-
-    kind: str
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        ps = [p for p, _ in self.points]
-        if any(b <= a for a, b in zip(ps, ps[1:])):
-            raise ValueError("p values must be strictly increasing")
-        if any(r < 0.0 for _, r in self.points):
-            raise ValueError("rates must be non-negative")

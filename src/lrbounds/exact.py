@@ -25,6 +25,17 @@ from typing import Iterator, Sequence
 
 from .params import Params, _alphabet, _at_least, _nonnegative, _unit
 
+__all__ = [
+    "BudgetExceededError",
+    "comparison_gmrsw",
+    "comparison_ry_binary4",
+    "comparison_ry_qary3",
+    "entropy_q",
+    "entropy_q_ell",
+    "eta_q",
+    "zero_rate_threshold",
+]
+
 
 class BudgetExceededError(RuntimeError):
     """Exhaustive enumeration would exceed the hard budget."""

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["Params"]
+
 
 def _whole(name: str, value) -> int:
     """value as an int, or ValueError when it is not a whole number (inf, NaN, 2.5)."""

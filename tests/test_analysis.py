@@ -409,6 +409,28 @@ def test_lipschitz_matches_grid_max():
     assert lip > 0.0
 
 
+LIPSCHITZ_ELL_1 = [Params(q, 1, L) for q in range(2, 17) for L in range(2, 13)] + [
+    Params(2, 1, 300), Params(3, 1, 300), Params(2, 1, 1100)]
+
+
+def test_lipschitz_is_L_for_ell_1():
+    # g' = L sum_k (beta_{k+1} - beta_k) b_{k,L-1}(w) over the Bernstein basis of degree L-1.
+    # Moving one draw changes top_ell by at most 1, so |beta_{k+1} - beta_k| <= 1 and
+    # |g'| <= L.  For ell = 1, beta_0 - beta_1 = 1, so g'(0) = -L and the maximum is L,
+    # a value known without the grid.
+    for params in LIPSCHITZ_ELL_1:
+        assert lipschitz_g(params) == pytest.approx(params.L, rel=1e-12), params
+
+
+def test_monotonicity_grid_holds_w_star_once():
+    # linspace(0, 1, 1001) holds 0.7000000000000001, one ulp from w* = 0.7; it gives way to
+    # w*, so no rounding-noise segment beside w* is counted on either side
+    c = certify_monotonicity_g(Params(10, 3, 4), tolerance=0.0)
+    assert c.passed
+    assert c.grid_points == 1001
+    assert c.max_increase_left < -1e-6 and c.max_decrease_right < -1e-6
+
+
 def test_gradient_sums_track_plurality_bounds():
     # f is bounded by ell <= f <= L on the simplex; gradient keeps f in range
     rng = np.random.default_rng(9)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrbounds import (
-    BoundCurve,
     Params,
     ball_volume,
     ball_volume_bounds,
@@ -546,15 +545,6 @@ def test_nan_inputs_raise():
         comparison_ry_binary4(math.nan)
     with pytest.raises(ValueError):
         comparison_ry_qary3(3, math.nan)
-
-
-def test_bound_curve_validation():
-    c = BoundCurve("lower", ((0.0, 1.0), (0.1, 0.5), (0.2, 0.0)))
-    assert len(c.points) == 3
-    with pytest.raises(ValueError):
-        BoundCurve("lower", ((0.0, 1.0), (0.0, 0.5)))
-    with pytest.raises(ValueError):
-        BoundCurve("lower", ((0.0, 1.0), (0.1, -0.5)))
 
 
 def test_threshold_fraction_identity_small():

@@ -55,15 +55,58 @@ def test_moved_objects_keep_their_old_homes():
     assert "BudgetExceededError" in oracle.__all__
 
 
+# The package's names before each one was listed only in its module's __all__, less the
+# deleted BoundCurve, and the three names a module listed but the package could not reach.
+PACKAGE_NAMES = (
+    "BudgetExceededError", "Code", "Composition", "ConvexityCertificate", "Distribution",
+    "ExpurgationReport", "FixedPointResult", "G_ell", "MonotonicityCertificate", "Params",
+    "PlotkinConstants", "SchurCertificate", "SlicedDistribution", "average_radius_ell",
+    "ball_volume", "ball_volume_bounds", "certify_convexity", "certify_monotonicity_g",
+    "certify_schur", "check_list_recoverable", "comparison_gmrsw", "comparison_ry_binary4",
+    "comparison_ry_qary3", "composition_table", "covering_size_bound", "covering_size_bound_lr",
+    "eb_upper_bound_rate", "entropy_q", "entropy_q_ell", "enumerate_compositions",
+    "estimate_threshold_mc", "eta_q", "exact_avg_radius_min", "exact_radius_ell", "f",
+    "f_gradient", "f_hessian", "g", "g_prime", "g_second", "hamming_distance", "hamming_weight",
+    "lipschitz_g", "lower_bound_rate", "lr_ball_volume", "lr_ball_volume_bounds", "lr_distance",
+    "lr_weight", "majorizes", "max_ell_partial_sum", "mgf", "multinomial", "p_star_w",
+    "plotkin_constants", "plurality", "plurality_ell", "random_expurgated_code",
+    "schur_ostrowski_value", "solve_lambda_star", "tilted_mean", "unconstrained_multiplier",
+    "verify_covering", "zero_rate_threshold",
+)
+ADDED_NAMES = ("CENTER_BUDGET", "CompositionTable", "POINT_BUDGET")
+
+
+def _modules():
+    package = os.path.join(SRC, "lrbounds")
+    return [importlib.import_module(f"lrbounds.{name[:-3]}") for name in sorted(os.listdir(package))
+            if name.endswith(".py") and not name.startswith("__")]
+
+
 def test_package_names_resolve_from_their_homes():
-    assert sorted(lrbounds._HOME) == sorted(lrbounds.__all__)
+    assert len(PACKAGE_NAMES) == 63 and lrbounds.__all__ == sorted(PACKAGE_NAMES + ADDED_NAMES)
     for name in lrbounds.__all__:
-        home = importlib.import_module(f"lrbounds.{lrbounds._HOME[name]}")
-        assert getattr(lrbounds, name) is getattr(home, name), name
+        homes = [module for module in _modules() if name in getattr(module, "__all__", ())]
+        assert homes, name
+        assert all(getattr(lrbounds, name) is getattr(home, name) for home in homes), name
         assert name in vars(lrbounds)  # stored: later lookups skip __getattr__
     assert set(lrbounds.__all__) <= set(dir(lrbounds))
     assert {"bounds", "exact", "cli"} <= set(dir(lrbounds))
     assert lrbounds.__version__ == "0.1.0"
+
+
+def test_a_name_listed_twice_is_one_object():
+    listed = {}
+    for module in _modules():
+        for name in getattr(module, "__all__", ()):
+            listed.setdefault(name, []).append(getattr(module, name))
+    assert {name: objs for name, objs in listed.items() if len(set(map(id, objs))) > 1} == {}
+    assert sum(len(objs) > 1 for objs in listed.values()) == 8  # bounds' 7 from exact, oracle's 1
+
+
+def test_package_reaches_the_budgets_and_the_table_type():
+    assert lrbounds.CENTER_BUDGET is oracle.CENTER_BUDGET
+    assert lrbounds.POINT_BUDGET is oracle.POINT_BUDGET
+    assert lrbounds.CompositionTable is importlib.import_module("lrbounds.compositions").CompositionTable
 
 
 def test_unknown_package_name_raises():
@@ -85,6 +128,10 @@ def test_threshold_and_comparison_curves_never_import_numpy():
 import contextlib, io, sys
 import lrbounds
 assert "numpy" not in sys.modules, "import lrbounds"
+assert not hasattr(lrbounds, "_orbits")
+assert [m for m in sys.modules if m.startswith("lrbounds")] == ["lrbounds"], "a private name"
+assert lrbounds.Code and lrbounds.Params
+assert "numpy" not in sys.modules, "private names, Code and Params on the package"
 from lrbounds import cli
 for argv in {THRESHOLDS + COMPARISONS!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
