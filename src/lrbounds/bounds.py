@@ -54,26 +54,33 @@ __all__ = [
 LAMBDA_CAP = 1e6
 LAMBDA_RESIDUAL = 1e-10
 LAMBDA_RELATIVE = 1e-6  # residual bound relative to p, for p below 1e-4
+TILT_BLOCK = 2048  # elements per block of the tilt table's build
 EB_W_TOL = 1e-15  # accuracy of the entropy-inversion w
 NEWTON_EVALUATIONS = 200  # more than bisection to EB_W_TOL or down to adjacent floats takes
+# the lam nodes of the tilt table that brackets lam*: 0, then 127 geometric on
+# [1e-3, 1e6 = LAMBDA_CAP], by Python's pow (np.geomspace adds 0.4 MB of RSS at import)
+LAMBDA_NODES = np.array([0.0] + [10.0 ** (-3.0 + 9.0 * k / 126) for k in range(127)])
+LAMBDA_NODES.flags.writeable = False
 
 
 # --- thresholds -----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _radius_law(q: int, ell: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+def _radius_law(q: int, ell: int, L: int) -> tuple[np.ndarray, ...]:
     """The law of the radius rho = 1 - t/L as floats, from exact._radius_counts N.
 
-    Returns, on the support of N, rho_t and log P(rho_t) = log N_t - L log q.
+    Returns, on the support of N, rho_t, rho_t^2, rho_t ln q and
+    log P(rho_t) = log N_t - L log q: the four vectors a tilt reads.
     """
     N = _radius_counts(q, ell, L)
     ts = [t for t, n in enumerate(N) if n]
     rho = 1.0 - np.array(ts, dtype=np.float64) / L
     log_p = np.array([math.log(N[t]) for t in ts]) - L * math.log(q)
-    for arr in (rho, log_p):
+    law = (rho, rho * rho, rho * math.log(q), log_p)
+    for arr in law:
         arr.flags.writeable = False
-    return rho, log_p
+    return law
 
 
 def p_star_w(params: Params, w: float) -> float:
@@ -84,37 +91,91 @@ def p_star_w(params: Params, w: float) -> float:
 # --- tilted average-radius law and the lower bound ------------------------
 
 
-def _tilt(params: Params, lam: float) -> tuple[float, float, float]:
-    """Mean and variance of rho under the lam-tilted law, and log E[q^(-lam rho)].
+def _tilt_rows(law: tuple[np.ndarray, ...], lam) -> tuple[Any, Any, Any, Any]:
+    """The lam-tilted radius law, one row per lam: a float gives one row, an (n, 1) column n.
 
-    All three come from one weight vector tw ~ P(rho_t) q^(-lam rho_t),
-    scaled so its largest entry is 1, and its one sum.
+    Returns each row's mean and variance of rho, and the max m and sum s of
+    its log weights, with log E[q^(-lam rho)] = m + ln s.  The weights are
+    tw ~ P(rho_t) q^(-lam rho_t), scaled so each row's largest is 1; each
+    row's sums are tw.sum and the matrix-vector products tw @ rho and
+    tw @ rho^2, so no multi-row matmul runs.  lam is not checked here.
     """
+    rho, rho_sq, rho_lnq, log_p = law
+    tw = np.multiply(lam, rho_lnq)  # one buffer: log weights, shifted, then weights
+    np.subtract(log_p, tw, out=tw)
+    m = tw.max(axis=-1)
+    tw -= m[..., None]
+    np.exp(tw, out=tw)
+    total = tw.sum(axis=-1)
+    mean = (tw @ rho) / total
+    return mean, (tw @ rho_sq) / total - mean * mean, m, total
+
+
+def _tilt(params: Params, lam: float) -> tuple[float, float]:
+    """Mean of rho under the lam-tilted law and log E[q^(-lam rho)], for a checked lam."""
     _finite_nonnegative("lam", lam)
-    rho, log_p = _radius_law(params.q, params.ell, params.L)
     # lam*rho*log q overflows to inf where rho > 0 only if lam*log q (a Python
     # float, silently inf) does; -inf is then the exact weight limit, and the
-    # rho = 0 atom (N_L >= 1) keeps x.max() finite.  errstate costs a sixth
-    # of a tilt, so it is entered only then.
+    # rho = 0 atom (N_L >= 1) keeps the row max finite.  errstate costs a
+    # sixth of a tilt, so it is entered only then.
     overflows = lam * math.log(params.q) == math.inf
     with np.errstate(over="ignore") if overflows else nullcontext():
-        x = log_p - lam * rho * math.log(params.q)
-    m = float(x.max())
-    tw = np.exp(x - m)
-    total = tw.sum()
-    mean = float((tw @ rho) / total)
-    var = float((tw @ (rho - mean) ** 2) / total)
-    return mean, var, m + math.log(float(total))
+        mean, _, m, total = _tilt_rows(_radius_law(params.q, params.ell, params.L), lam)
+    return float(mean), float(m) + math.log(float(total))
 
 
 def mgf(params: Params, lam: float) -> float:
     """E[q^(-lam * rho)] under the uniform tuple law, by log-sum-exp."""
-    return math.exp(_tilt(params, lam)[2])
+    return math.exp(_tilt(params, lam)[1])
 
 
 def tilted_mean(params: Params, lam: float) -> float:
     """Mean of rho under the lam-tilted law; decreasing, equals p* at lam = 0."""
     return _tilt(params, lam)[0]
+
+
+@lru_cache(maxsize=None)
+def _tilt_table(q: int, ell: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tilted law at the fixed lam of LAMBDA_NODES, built in blocks of about TILT_BLOCK elements.
+
+    Returns the nodes lam_i, -ln mean_i (ascending, +inf where the mean
+    underflows to 0) and the slope d lam / d ln mean = -mean / (ln q Var)
+    at each node.
+    """
+    law, lams = _radius_law(q, ell, L), LAMBDA_NODES
+    mean, var = np.empty_like(lams), np.empty_like(lams)
+    rows = max(1, TILT_BLOCK // law[0].size)
+    for i in range(0, lams.size, rows):
+        mean[i:i + rows], var[i:i + rows], _, _ = _tilt_rows(law, lams[i:i + rows, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = (lams, -np.log(mean), -mean / (math.log(q) * var))
+    for arr in table[1:]:
+        arr.flags.writeable = False
+    return table
+
+
+def _lambda_start(params: Params, ln_p: float) -> tuple[float, float, float]:
+    """Bracket [lo, hi] of lam* and a start inside it, from the cached tilt table.
+
+    One searchsorted finds the nodes with mean_lo > p >= mean_hi (clamped to
+    the first or last pair, where rounding puts p past p* or the cap's mean
+    is still above p); the start is the inverse cubic Hermite interpolant of
+    lam in ln mean through both nodes, or the left node's tangent, or the
+    bracket's midpoint, whichever first lands inside the bracket.
+    """
+    lams, neg_ln_mean, slope = _tilt_table(params.q, params.ell, params.L)
+    i = min(max(int(neg_ln_mean.searchsorted(-ln_p)), 1), lams.size - 1)
+    lo, hi = lams.item(i - 1), lams.item(i)
+    u0, d0, d1 = -neg_ln_mean.item(i - 1), slope.item(i - 1), slope.item(i)
+    h = -neg_ln_mean.item(i) - u0  # ln mean_hi - ln mean_lo < 0; -inf if mean_hi = 0
+    s = min(max((ln_p - u0) / h, 0.0), 1.0)
+    x = (1.0 + 2.0 * s) * (1.0 - s) ** 2 * lo + s * s * (3.0 - 2.0 * s) * hi + (
+        s * (1.0 - s) * h * ((1.0 - s) * d0 - s * d1))
+    if not lo <= x <= hi:  # NaN too: mean_hi = 0, or a slope that is not finite
+        x = lo + d0 * (ln_p - u0)
+        if not lo <= x <= hi:
+            x = 0.5 * (lo + hi)
+    return lo, hi, x
 
 
 def _rate_at_zero(params: Params) -> float:
@@ -127,7 +188,9 @@ def _rate_at_zero(params: Params) -> float:
 class FixedPointResult:
     """Solution of tilted_mean(lam) = p.
 
-    iterations counts the tilted-mean evaluations of the solve (0 at p = 0).
+    iterations counts the tilts the solve evaluates after the cached tilt
+    table (0 at p = 0; the table's own tilts, paid once per (q, ell, L), are
+    not counted).
     lambda_star is math.inf when p = 0, or when the tilted mean at the cap
     1e6 is still above p (at (2,1,1100) it is 2.2e-274); then the rate is the
     exact lam -> inf limit and residual the limiting gap p - 0.
@@ -192,28 +255,34 @@ def _safeguarded_newton(
 def solve_lambda_star(params: Params, p: float) -> FixedPointResult:
     """lam* with tilted_mean(lam*) = p to residual <= min(1e-10, 1e-6 p), by safeguarded Newton.
 
-    Newton runs on ln tilted_mean(lam) - ln p over [0, 1e6] from lam = 1,
-    with slope -ln q Var_lam(rho) / mean; mean, variance and log E[q^(-lam rho)]
-    all come from one tilt of the radius law.  About 4-7 evaluations per
-    point; the cap is evaluated at most once.
+    Newton runs on ln tilted_mean(lam) - ln p, with slope
+    -ln q Var_lam(rho) / mean, inside the bracket of two adjacent nodes of
+    the cached tilt table and from its inverse Hermite start
+    (_lambda_start); mean, variance and log E[q^(-lam rho)] all come from
+    one tilt of the radius law.  About 2 tilts per point, at most 3 on the
+    grid p* k/64; when the cap's mean is still above p the start is the cap,
+    evaluated once.
     """
     _below_threshold(params, p)
     if p == 0.0:
         return FixedPointResult(math.inf, _rate_at_zero(params), 0, 0.0)
 
-    lnq = math.log(params.q)
+    law = _radius_law(params.q, params.ell, params.L)
+    lnq, ln_p = math.log(params.q), math.log(p)
     tol = min(LAMBDA_RESIDUAL, LAMBDA_RELATIVE * p)
 
     def log_residual(lam: float):
-        mean, var, log_z = _tilt(params, lam)
+        mean, var, m, total = _tilt_rows(law, lam)
+        mean, log_z = float(mean), float(m) + math.log(float(total))
         gap = mean - p
         done = abs(gap) <= tol or (lam >= LAMBDA_CAP and gap > 0.0)
         if not mean > 0.0:  # every weight off rho = 0 underflowed
             return -math.inf, math.nan, done, (gap, log_z)
-        return math.log(mean) - math.log(p), -lnq * var / mean, done, (gap, log_z)
+        return math.log(mean) - ln_p, -lnq * float(var) / mean, done, (gap, log_z)
 
     try:
-        lam, (gap, log_z), evaluations = _safeguarded_newton(log_residual, 0.0, LAMBDA_CAP, 1.0)
+        lam, (gap, log_z), evaluations = _safeguarded_newton(
+            log_residual, *_lambda_start(params, ln_p))
     except ArithmeticError as exc:
         raise ArithmeticError(f"lambda* {exc} for p={p}") from None
     if gap > tol:  # still above p at the cap

@@ -103,23 +103,36 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 # --- curve -------------------------------------------------------------------
 
 
-def _curve_grid(pmin: float, pmax: float, points: int | None, step: float | None) -> list[float]:
+_TOO_DENSE = "grid too dense for --precision; increase precision or thin the grid"
+
+
+def _curve_grid(
+    pmin: float, pmax: float, points: int | None, step: float | None, precision: int
+) -> list[float]:
     if not 0.0 <= pmin < pmax:
         raise ValueError(f"need 0 <= pmin < pmax, got pmin={pmin}, pmax={pmax}")
     if step is not None:
         if not 0.0 < step < math.inf:  # NaN fails too; a NaN step would never reach pmax
             raise ValueError(f"need finite step > 0, got {step}")
-        grid = []
-        k = 0
-        while True:
-            p = pmin + k * step
-            if p > pmax + 1e-12:
-                break
-            grid.append(min(p, pmax))
-            k += 1
-        return grid
-    count = 100 if points is None else _at_least("points", points, 2)
-    return [pmin + (pmax - pmin) * i / (count - 1) for i in range(count)]
+        count = (pmax - pmin) / step  # the grid holds at least this many points
+    else:
+        count = 100 if points is None else _at_least("points", points, 2)
+    # --precision prints at most (pmax - pmin) 10^precision + 3 distinct strings
+    # (1e-9 covers rounding): a denser grid, which may hold 1e299 points, is
+    # refused before it is built
+    if count > ((pmax - pmin) * 10.0 ** min(precision, 308) + 3.0) * (1.0 + 1e-9):
+        raise ValueError(_TOO_DENSE)
+    if step is None:
+        return [pmin + (pmax - pmin) * i / (count - 1) for i in range(count)]
+    grid = []
+    k = 0
+    while True:
+        p = pmin + k * step
+        if p > pmax + 1e-12:
+            break
+        grid.append(min(p, pmax))
+        k += 1
+    return grid
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
@@ -145,7 +158,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     pmax = default_pmax if args.pmax is None else args.pmax
     if pmax > 1.0:
         raise ValueError(f"need pmax <= 1, got {pmax}")
-    grid = _curve_grid(args.pmin, pmax, args.points, args.step)
+    prec = _at_least("precision", args.precision, 0)
+    grid = _curve_grid(args.pmin, pmax, args.points, args.step, prec)
     kept = [p for p in grid if p <= clamp]
     if not kept:  # the grid starts past p*: clamping would print p* below --pmin
         raise ValueError(f"need pmin <= p_star={clamp:.12f}, got pmin={args.pmin}")
@@ -162,10 +176,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         int(threads)
     except ValueError:
         raise ValueError(f"LRB_THREADS must be an integer, got {threads!r}") from None
-    prec = args.precision
     ps = [f"{p:.{prec}f}" for p in grid]
     if len(set(ps)) != len(ps):  # checked before any rate is computed
-        raise ValueError("grid too dense for --precision; increase precision or thin the grid")
+        raise ValueError(_TOO_DENSE)
 
     text = "".join(f"{s} {rate(p):.{prec}f}\n" for s, p in zip(ps, grid))
     if args.out is not None:

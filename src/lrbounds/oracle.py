@@ -177,7 +177,8 @@ def random_expurgated_code(
     """Sample ceil(q^(n*rate)) words and expurgate bad L-subsets.
 
     Raises BudgetExceededError before sampling when q^(n*rate) exceeds
-    POINT_BUDGET words.
+    POINT_BUDGET words, and before any subset is scanned when the
+    C(distinct_size, L) L-subsets of the distinct words do.
 
     A subset is bad when its average lr-radius is <= n*p.  One pass over
     the L-subsets in combinations order skips those holding a removed word
@@ -203,6 +204,10 @@ def random_expurgated_code(
     draws = rng.integers(1, q + 1, size=(target_size, n))
     words = list(dict.fromkeys(tuple(int(s) for s in row) for row in draws))
     distinct_size = len(words)
+    if math.comb(distinct_size, L) > POINT_BUDGET:
+        raise BudgetExceededError(
+            f"C({distinct_size},{L}) subsets exceed the budget of {POINT_BUDGET}"
+        )
 
     threshold, removed, min_avg = n * p, set(), math.inf
     for idxs in combinations(range(distinct_size), L):

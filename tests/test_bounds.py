@@ -265,7 +265,7 @@ def test_newton_takes_few_evaluations(monkeypatch):
     for params in (Params(8, 2, 10), Params(2, 1, 1100)):
         ps = [zero_rate_threshold(params) * k / 64 for k in range(1, 64)]
         evaluations = [solve_lambda_star(params, p).iterations for p in ps]
-        assert np.mean(evaluations) <= 8.0 and max(evaluations) <= 10
+        assert np.mean(evaluations) <= 3.0 and max(evaluations) <= 4
         g_calls.clear()
         for p in ps:
             eb_upper_bound_rate(params, p)
@@ -278,6 +278,59 @@ def test_lambda_cap_is_evaluated_once():
     assert math.isinf(res.lambda_star)
     assert res.iterations <= 20
     assert res.rate == lower_bound_rate(params, 0.0)
+
+
+TABLE_SETS = [Params(2, 1, 3), Params(3, 2, 3), Params(8, 2, 10), Params(2, 1, 1100)]
+
+
+def _meets_residual(params, p):
+    res = solve_lambda_star(params, p)
+    assert res.residual <= min(1e-10, 1e-6 * p), p
+    assert abs(tilted_mean(params, res.lambda_star) - p) <= min(1e-10, 1e-6 * p), p
+    return res
+
+
+@pytest.mark.parametrize("params", TABLE_SETS, ids=str)
+def test_lambda_star_at_and_beside_a_node_mean(params):
+    lams, neg_ln_mean, _ = bounds._tilt_table(params.q, params.ell, params.L)
+    N = _radius_counts(params.q, params.ell, params.L)
+    live = [i for i in range(1, lams.size) if math.isfinite(neg_ln_mean[i])]
+    for i in live[:: max(1, len(live) // 6)] + live[-1:]:
+        node = tilted_mean(params, float(lams[i]))
+        table_mean = math.exp(-float(neg_ln_mean[i]))
+        for p in {node, table_mean, math.nextafter(node, 0.0), math.nextafter(node, 1.0)}:
+            res = _meets_residual(params, p)
+            assert res.iterations <= 2, (i, p)
+            want = ref_lambda_star_rate(params.q, params.L, N, p)
+            assert res.rate == pytest.approx(want, abs=1e-12), (i, p)
+
+
+@pytest.mark.parametrize("params", TABLE_SETS, ids=str)
+def test_lambda_star_between_zero_and_the_first_node(params):
+    lams = bounds._tilt_table(params.q, params.ell, params.L)[0]
+    assert lams[0] == 0.0 and lams[1] == 1e-3 and lams[-1] == bounds.LAMBDA_CAP
+    pstar = zero_rate_threshold(params)
+    first = tilted_mean(params, float(lams[1]))
+    N = _radius_counts(params.q, params.ell, params.L)
+    for p in (0.5 * (pstar + first), math.nextafter(pstar, 0.0), math.nextafter(first, 1.0)):
+        lo, hi, start = bounds._lambda_start(params, math.log(p))
+        assert (lo, hi) == (0.0, 1e-3) and lo <= start <= hi
+        res = _meets_residual(params, p)
+        assert res.rate == pytest.approx(ref_lambda_star_rate(params.q, params.L, N, p), abs=1e-12)
+
+
+def test_tilt_table_is_cached_and_read_only():
+    table = bounds._tilt_table(8, 2, 10)
+    assert bounds._tilt_table(8, 2, 10) is table
+    lams, neg_ln_mean, slope = table
+    assert lams is bounds.LAMBDA_NODES and lams.size == 128
+    assert np.all(lams[1:] > lams[:-1]) and np.all(neg_ln_mean[1:] >= neg_ln_mean[:-1])
+    assert np.all(slope[np.isfinite(neg_ln_mean)] < 0.0)
+    for arr in table:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert not any(arr.flags.writeable for arr in bounds._radius_law(8, 2, 10))
 
 
 def test_safeguarded_newton_bisects_where_slope_is_not_negative():

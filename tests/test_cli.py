@@ -13,7 +13,7 @@ from lrbounds.cli import _curve_grid, main, read_code_file, write_code_file
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = os.environ.copy()
     env.pop("LRB_THREADS", None)
     # the child imports lrbounds from this checkout, installed or not
@@ -24,6 +24,7 @@ def run_cli(*args, env_extra=None):
         [sys.executable, "-m", "lrbounds", *args],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -152,6 +153,29 @@ def test_curve_too_dense_for_precision_exits_before_any_rate(monkeypatch, capsys
     assert not out.exists()
 
 
+def test_curve_negative_precision_exit_2():
+    res = run_cli("curve", "--kind", "lower", "--q", "2", "--ell", "1", "--L", "3",
+                  "--precision", "-1")
+    assert res.returncode == 2 and res.stdout == b""
+    assert b"need precision >= 0, got -1" in res.stderr
+
+
+def test_curve_step_too_dense_exits_before_the_grid_is_built():
+    # about 1e299 points at step 1e-300: refused by counting, before any list is formed
+    res = run_cli("curve", "--kind", "lower", "--q", "2", "--ell", "1", "--L", "3",
+                  "--step", "1e-300", "--pmax", "0.1", timeout=5)
+    assert res.returncode == 2 and res.stdout == b""
+    assert b"grid too dense for --precision" in res.stderr
+    for step in (5e-324, 1e-7):  # (pmax - pmin)/step overflows to inf; 1e6 points at 6 decimals
+        with pytest.raises(ValueError, match="grid too dense"):
+            _curve_grid(0.0, 0.1, None, step, 6)
+    with pytest.raises(ValueError, match="grid too dense"):  # counted the same way
+        _curve_grid(0.0, 0.1, 10**12, None, 6)
+    # exactly as dense as the precision prints: built, every string distinct
+    for grid in (_curve_grid(0.0, 0.1, None, 1e-3, 3), _curve_grid(0.0, 0.1, 101, None, 3)):
+        assert len(grid) == 101 and len({f"{p:.3f}" for p in grid}) == 101
+
+
 def test_curve_clamps_beyond_threshold():
     res = run_cli(
         "curve", "--kind", "lower", "--q", "2", "--ell", "1", "--L", "2",
@@ -200,14 +224,14 @@ def test_curve_grid_rejects_non_finite_step():
     # a NaN step never passes pmax, so the grid used to grow without bound
     for step, shown in [(math.nan, "nan"), (math.inf, "inf"), (0.0, "0.0"), (-0.1, "-0.1")]:
         with pytest.raises(ValueError, match=f"need finite step > 0, got {shown}"):
-            _curve_grid(0.0, 0.25, None, step)
-    assert _curve_grid(0.0, 0.2, None, 0.1) == [0.0, 0.1, 0.2]
+            _curve_grid(0.0, 0.25, None, step, 6)
+    assert _curve_grid(0.0, 0.2, None, 0.1, 6) == [0.0, 0.1, 0.2]
 
 
 def test_curve_grid_needs_two_points():
     for points in (1, 0):
         with pytest.raises(ValueError, match=f"need points >= 2, got {points}"):
-            _curve_grid(0.0, 0.25, points, None)
+            _curve_grid(0.0, 0.25, points, None, 6)
 
 
 def test_curve_nan_step_exit_2():
@@ -303,6 +327,17 @@ def test_oracle_expurgate_over_budget_exit_4():
     res = run_cli(
         "oracle", "expurgate", "--q", "2", "--ell", "1", "--L", "2",
         "--p", "0.1", "--n", "40", "--rate", "1",
+    )
+    assert res.returncode == 4
+    assert res.stdout == b""
+    assert b"budget" in res.stderr.lower() and b"Traceback" not in res.stderr
+
+
+def test_oracle_expurgate_subset_scan_over_budget_exit_4():
+    # about 650 distinct words of 2^10 draws: C(650, 3) subsets, counted and never scanned
+    res = run_cli(
+        "oracle", "expurgate", "--q", "2", "--ell", "1", "--L", "3",
+        "--p", "0.1", "--n", "10", "--rate", "1", timeout=30,
     )
     assert res.returncode == 4
     assert res.stdout == b""

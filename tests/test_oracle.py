@@ -405,3 +405,13 @@ def test_expurgation_budget_is_checked_before_sampling(monkeypatch):
         random_expurgated_code(Params(2, 1, 2), 0.1, 40, 1.0, seed=1)
     with pytest.raises(BudgetExceededError):  # q^(n rate) would overflow a float
         random_expurgated_code(Params(2, 1, 2), 0.1, 2000, 1.0, seed=1)
+
+
+def test_expurgation_budget_is_checked_before_the_subset_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned past the budget")
+
+    monkeypatch.setattr(lrbounds.oracle, "average_radius_ell", no_scan)
+    # 2^10 draws keep about 650 distinct words: C(650, 3) ~ 4.6e7 subsets
+    with pytest.raises(BudgetExceededError, match="subsets exceed the budget"):
+        random_expurgated_code(Params(2, 1, 3), 0.1, 10, 1.0, seed=1)
