@@ -142,15 +142,17 @@ def test_curve_too_dense_for_precision_exits_before_any_rate(monkeypatch, capsys
 
     monkeypatch.setattr(lrbounds.bounds, "lower_bound_rate", no_rates)
     out = tmp_path / "curve.dat"
-    code = main([
-        "curve", "--kind", "lower", "--q", "2", "--ell", "1", "--L", "3",
-        "--points", "20000", "--precision", "2", "--out", str(out),
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "grid too dense for --precision" in captured.err
-    assert not out.exists()
+    # 20000 points fail the count; 27 pass it, but two of them print alike on [0, 0.25]
+    for points in ("20000", "27"):
+        code = main([
+            "curve", "--kind", "lower", "--q", "2", "--ell", "1", "--L", "3",
+            "--points", points, "--precision", "2", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "grid too dense for --precision" in captured.err
+        assert not out.exists()
 
 
 def test_curve_negative_precision_exit_2():
