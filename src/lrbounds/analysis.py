@@ -18,9 +18,14 @@ read those floats.
 Every sum of the form sum_a C(m,a) p^a v_a goes through one log-domain
 kernel, _composition_sums, with the logs of exact multinomials from the
 cached composition tables: f, its gradient and Hessian at any P, and the
-Bernstein basis of g as the q = 2 case.  The numerical certificates (Schur,
-convexity, monotonicity) evaluate these closed forms on grids or sampled
-distributions.
+Bernstein basis of g as the q = 2 case.  Many rows of f's derivatives over
+a large A_{q,m} (the Schur certificate's samples) take _head_tail_sums
+instead: a = (b, c) splits into the first q // 2 counts and the rest, so
+C(m,a) p^a factors into a head term times a tail term and the exponentials
+run over the two half-alphabet tables, not over A_{q,m}.  _takes_head_tail
+picks the kernel from the input's size alone.  The numerical certificates
+(Schur, convexity, monotonicity) evaluate these closed forms on grids or
+sampled distributions.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .compositions import CompositionTable, _top_ell_plus_unit, _top_ell_table, composition_table
+from .compositions import (CompositionTable, _HeadTailLayout, _head_tail_layout, _top_ell_plus_unit,
+                           _top_ell_table, composition_table)
 from .exact import _slice_numerators
 from .params import Params, _at_least, _finite_nonnegative, _list_shape, _unit, _whole
 
@@ -160,19 +166,75 @@ def _composition_sums(tbl: CompositionTable, log_p: np.ndarray, values: np.ndarr
     return out
 
 
+def _head_tail_sums(layout: _HeadTailLayout, log_p: np.ndarray) -> np.ndarray:
+    """_composition_sums over A_{q,m} for the layout's top_ell values, from its heads and tails.
+
+    Per row, exp runs over the heads, X_b = C(m,r) C(m-r,b) p_H^b, and the
+    tails, Y_c = C(m,r) C(r,c) p_T^c, not over A_{q,m}; block r adds
+    sum_b sum_c X_b Y_c values_(b,c) by one matmul over its larger side and a
+    row-wise dot over the smaller.  X and Y are at most C(m,r) <= 2^m, which
+    the table budget keeps finite: q >= 4 with m past about 400 is over it.
+    Rows go in chunks that keep X, Y and the matmul's output within _BLOCK
+    floats, in buffers allocated once per call.
+    """
+    head, tail, blocks = layout
+    q1, cols = len(head) - 1, blocks[0].values.shape[1]  # block r = 0 has one tail, c = 0
+    zwidth = max(block.values.shape[1] for block in blocks)
+    n, step = len(log_p), max(1, _BLOCK // (head.shape[1] + tail.shape[1] + zwidth))
+    ext = np.insert(log_p, (q1, log_p.shape[1]), 1.0, axis=1)  # [log p_H, 1, log p_T, 1]
+    out = np.zeros((n, cols))
+    xbuf, ybuf = np.empty((step, head.shape[1])), np.empty((step, tail.shape[1]))
+    zbuf = np.empty(step * zwidth)
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        k = min(step, n - i)
+        x = np.exp(np.matmul(ext[rows, : q1 + 1], head, out=xbuf[:k]), out=xbuf[:k])
+        y = np.exp(np.matmul(ext[rows, q1 + 1 :], tail, out=ybuf[:k]), out=ybuf[:k])
+        acc = out[rows]
+        for block in blocks:
+            big, small = x[:, block.heads], y[:, block.tails]
+            if not block.head_major:
+                big, small = small, big
+            z = np.matmul(big, block.values, out=zbuf[: k * block.values.shape[1]].reshape(k, -1))
+            acc += np.matmul(small[:, np.newaxis], z.reshape(k, small.shape[1], cols))[:, 0]
+    return out
+
+
 def _log_probs(ps: np.ndarray) -> np.ndarray:
     return np.log(ps, out=np.full(ps.shape, _LOG_ZERO), where=ps > 0.0)
+
+
+_HEAD_TAIL_SAVING = 20_000  # exponentials the split must save per block it loops over
+
+
+def _takes_head_tail(q: int, m: int, rows: int) -> bool:
+    """Whether _head_tail_sums beats _composition_sums on rows rows over A_{q,m}.
+
+    The split saves rows * (|A_{q,m}| - |heads| - |tails|) exponentials and
+    pays a Python loop over m + 1 blocks per chunk of rows; measured on 2
+    cores, it wins once the saving passes about _HEAD_TAIL_SAVING per block.
+    For q <= 3 it saves nothing.
+    """
+    q1 = q // 2
+    saved = math.comb(m + q - 1, q - 1) - math.comb(m + q1, q1) - math.comb(m + q - q1, q - q1)
+    return rows * saved > _HEAD_TAIL_SAVING * (m + 1)
 
 
 def _f_derivatives(params: Params, ps: np.ndarray, order: int) -> np.ndarray:
     """The order-th derivative of f at every row of ps, flattened to q**order columns.
 
     d^k f / dp_(j_1)..dp_(j_k) = L!/(L-k)! sum over a in A_{q,L-k} of
-    C(L-k,a) p^a top_ell(a + e_(j_1) + ... + e_(j_k)).
+    C(L-k,a) p^a top_ell(a + e_(j_1) + ... + e_(j_k)), by the head/tail split
+    when _takes_head_tail says it pays, else over the whole table.
     """
     q, ell, m = params.q, params.ell, params.L - order
-    tbl, top = composition_table(q, m), _top_ell_table(q, ell, m, order)
-    return math.perm(params.L, order) * _composition_sums(tbl, _log_probs(ps), top)
+    log_p = _log_probs(ps)
+    if _takes_head_tail(q, m, len(ps)):
+        sums = _head_tail_sums(_head_tail_layout(q, ell, m, order), log_p)
+    else:
+        top = _top_ell_table(q, ell, m, order)
+        sums = _composition_sums(composition_table(q, m), log_p, top)
+    return math.perm(params.L, order) * sums
 
 
 def f(params: Params, dist: DistLike) -> float:

@@ -8,8 +8,9 @@ runs over one of these index sets, so three things are pinned here: the
 order (lexicographic, first coordinate descending), exactness (multinomials
 and orbit sizes are Python ints; a cached table holds the logs of exact ints
 and knows nothing of ell) and the top_ell tables of a + e_(j_1) + ... +
-e_(j_k) for derivatives of order k, all built by one cached function from
-one vectorized int kernel.
+e_(j_k) for derivatives of order k, all built from one vectorized int
+kernel, either over A_{q,m} or over its head/tail split.  No table of more
+than _TABLE_BUDGET entries is enumerated: BudgetExceededError comes first.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from .exact import BudgetExceededError
 from .params import _at_least
 
 __all__ = [
@@ -170,15 +172,47 @@ def _top_ell_plus_unit(counts: np.ndarray, ell: int) -> np.ndarray:
     return top.sum(axis=-1, keepdims=True) + (counts >= top[..., :1])
 
 
+def _top_ell_of(counts: np.ndarray, ell: int, order: int) -> np.ndarray:
+    """top_ell(a + e_(j_1) + ... + e_(j_order)) for every count row a; exact int64.
+
+    Shape counts.shape[:-1] + (q,) * order.  Order 0 is top_ell(a); higher
+    orders add order - 1 unit vectors to the rows and take the last one with
+    _top_ell_plus_unit.
+    """
+    if order == 0:
+        return np.sort(counts, axis=-1)[..., -ell:].sum(axis=-1)
+    q = counts.shape[-1]
+    for _ in range(order - 1):
+        counts = counts[..., np.newaxis, :] + np.eye(q, dtype=np.int64)
+    return _top_ell_plus_unit(counts, ell)
+
+
+_TABLE_BUDGET = 10**7  # entries, rows x columns, that one table over A_{q,m} may hold
+
+
+def _check_budget(q: int, m: int, columns: int) -> None:
+    """BudgetExceededError before a table of |A_{q,m}| = C(m+q-1, q-1) rows is enumerated."""
+    entries = math.comb(m + q - 1, q - 1) * columns
+    if entries > _TABLE_BUDGET:
+        raise BudgetExceededError(
+            f"a table over A_{{{q},{m}}} would hold {entries} entries, "
+            f"over the budget of {_TABLE_BUDGET}")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=None)
 def composition_table(q: int, m: int) -> CompositionTable:
+    q, m = _at_least("q", q, 1), _at_least("m", m, 0)
+    _check_budget(q, m, q)
     rows = list(_tuples(q, m))
     counts = np.array([a for a, _ in rows], dtype=np.int64)
     exponents = np.ascontiguousarray(counts.T, dtype=np.float64)
     log_mults = np.array([math.log(n) for _, n in rows], dtype=np.float64)
-    for arr in (counts, exponents, log_mults):
-        arr.flags.writeable = False
-    return CompositionTable(counts, exponents, log_mults)
+    return CompositionTable(*map(_read_only, (counts, exponents, log_mults)))
 
 
 @lru_cache(maxsize=None)
@@ -186,17 +220,78 @@ def _top_ell_table(q: int, ell: int, m: int, order: int) -> np.ndarray:
     """top_ell(a + e_(j_1) + ... + e_(j_order)) for a in A_{q,m}, shape (K, q**order).
 
     Column j_1 q^(order-1) + ... + j_order; order 0 is top_ell(a), one
-    column.  Higher orders add order - 1 unit vectors to the rows and take
-    the last one with _top_ell_plus_unit.  float64, read-only.
+    column.  float64, read-only.
     """
+    _check_budget(q, m, q**order)
     counts = composition_table(q, m).counts
-    if order == 0:
-        top = np.sort(counts, axis=1)[:, -ell:].sum(axis=1)
-    else:
-        for _ in range(order - 1):
-            counts = counts[..., np.newaxis, :] + np.eye(q, dtype=np.int64)
-        top = _top_ell_plus_unit(counts, ell)
-    table = top.reshape(len(counts), -1).astype(np.float64)
-    table.flags.writeable = False
-    return table
+    return _read_only(_top_ell_of(counts, ell, order).reshape(len(counts), -1).astype(np.float64))
 
+
+class _HeadTailBlock(NamedTuple):
+    """The compositions a = (b, c) of one tail total r in a _HeadTailLayout.
+
+    heads and tails slice the columns of the head and tail tables that hold
+    b in A_{q1,m-r} and c in A_{q2,r}.  values holds
+    top_ell(a + e_(j_1) + ... + e_(j_order)) / C(m,r), float64 and read-only,
+    with the larger of the two sides first: shape (|heads|, |tails| * cols)
+    if head_major, else (|tails|, |heads| * cols).
+    """
+
+    heads: slice
+    tails: slice
+    head_major: bool
+    values: np.ndarray
+
+
+class _HeadTailLayout(NamedTuple):
+    """A_{q,m} as heads b, the first q1 = q // 2 counts, and tails c, the other q2.
+
+    The heads are the rows (r, b) of composition_table(q1 + 1, m), which
+    groups A_{q1,m-r} by the slack r, the tail total; its multinomial
+    m!/(r! prod b!) is C(m,r) C(m-r,b).  head is (q1 + 1, |heads|): the
+    counts b as exponent rows, then the log multinomials, so that
+    [log p_H, 1] @ head is the log of every head term.  The tails are the
+    rows (m-r, c) of composition_table(q2 + 1, m), multinomial C(m,r) C(r,c),
+    and tail is laid out alike.  Since C(m,a) = C(m,r) C(m-r,b) C(r,c), a
+    block's values carry the one 1/C(m,r) the two multinomials have too many.
+    """
+
+    head: np.ndarray
+    tail: np.ndarray
+    blocks: tuple[_HeadTailBlock, ...]
+
+
+def _rows_summing_to(parts: int, total: int) -> slice:
+    """The rows of composition_table(parts + 1, m) whose last parts counts sum to total.
+
+    The first count, the slack, descends, so the rows of every smaller total
+    come first: C(total + parts - 1, parts) of them, by the hockey stick.
+    """
+    return slice(math.comb(total + parts - 1, parts), math.comb(total + parts, parts))
+
+
+@lru_cache(maxsize=None)
+def _head_tail_layout(q: int, ell: int, m: int, order: int) -> _HeadTailLayout:
+    """The head/tail view of A_{q,m} and its top_ell values of the given order.
+
+    Its blocks hold as many values as _top_ell_table(q, ell, m, order) and
+    stand in for it: A_{q,m} itself is never enumerated.
+    """
+    _check_budget(q, m, q**order)
+    q1 = q // 2
+    head, tail = composition_table(q1 + 1, m), composition_table(q - q1 + 1, m)
+    blocks = []
+    for r in range(m + 1):
+        hs, ts = _rows_summing_to(q1, m - r), _rows_summing_to(q - q1, r)
+        b, c = head.counts[hs, 1:], tail.counts[ts, 1:]
+        shape = (len(b), len(c))
+        counts = np.concatenate((np.broadcast_to(b[:, np.newaxis], shape + b.shape[1:]),
+                                 np.broadcast_to(c[np.newaxis], shape + c.shape[1:])), axis=-1)
+        values = _top_ell_of(counts, ell, order).reshape(shape + (-1,)) / float(math.comb(m, r))
+        head_major = len(b) >= len(c)
+        if not head_major:
+            values = values.transpose(1, 0, 2)
+        values = np.ascontiguousarray(values).reshape(len(values), -1)
+        blocks.append(_HeadTailBlock(hs, ts, head_major, _read_only(values)))
+    head, tail = (_read_only(np.vstack((t.exponents[1:], t.log_multinomials))) for t in (head, tail))
+    return _HeadTailLayout(head, tail, tuple(blocks))

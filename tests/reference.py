@@ -164,6 +164,26 @@ def ref_f_hessian(q, ell, L, probs):
     return np.array([[math.fsum(t) for t in row] for row in terms])
 
 
+def ref_composition_sums(q, ell, m, order, probs):
+    """sum over a in A_{q,m} of multinomial(m, a) p^a top_ell(a + e_(j_1) + ... + e_(j_order)), exactly.
+
+    One Fraction per column j_1 q^(order-1) + ... + j_order, with p the exact
+    values of the floats in probs.  Floats are dyadic, so with D the largest
+    denominator every p_j is N_j / D and the sum is one integer over D^m.
+    """
+    comps = sorted(ref_compositions(q, m))
+    exact = [Fraction(float(p)) for p in probs]
+    D = max(x.denominator for x in exact)
+    N = [x.numerator * (D // x.denominator) for x in exact]
+    weights = np.empty(len(comps), dtype=object)
+    weights[:] = [ref_multinomial(m, a) * math.prod(n**k for n, k in zip(N, a)) for a in comps]
+    counts = np.array(comps, dtype=np.int64)
+    for _ in range(order):
+        counts = counts[..., np.newaxis, :] + np.eye(q, dtype=np.int64)
+    top = np.sort(counts, axis=-1)[..., -ell:].sum(axis=-1).reshape(len(comps), -1)
+    return [Fraction(int(s), D**m) for s in weights @ top.astype(object)]
+
+
 def ref_threshold(q, ell, L):
     """Exact p* = E[L - plur_ell]/L under the uniform law, as a Fraction."""
     total = 0

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -25,14 +28,16 @@ from lrbounds import (
     zero_rate_threshold,
 )
 
-from lrbounds.analysis import (_BLOCK, _composition_sums, _log_probs, _slice_bernstein,
-                               _slice_values)
+from lrbounds.analysis import (_BLOCK, _LOG_ZERO, _composition_sums, _f_derivatives,
+                               _head_tail_sums, _log_probs, _slice_bernstein, _slice_values,
+                               _takes_head_tail)
 from lrbounds.exact import _binomial_row, _slice_numerators, _tail_mass_coefficients
-from lrbounds.compositions import _top_ell_table, composition_table
+from lrbounds.compositions import _head_tail_layout, _top_ell_table, composition_table
 
 from reference import (
     POOL_TRIPLES,
     central_diff,
+    ref_composition_sums,
     ref_f,
     ref_f_gradient,
     ref_f_hessian,
@@ -43,6 +48,8 @@ from reference import (
     second_central_diff,
     simplex_point,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SMALL_PARAMS = [
     Params(2, 1, 2),
@@ -476,6 +483,95 @@ def test_composition_sums_hold_one_chunk_buffer(run):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * _BLOCK
+
+
+# --- the head/tail split of the composition sums -----------------------------
+
+
+def _one_hot_rows(rng, n, q):
+    """n simplex points; every fourth is e_0 and every fourth from the third e_(q-1)."""
+    e = rng.standard_exponential((n, q))
+    ps = e / e.sum(axis=1, keepdims=True)
+    ps[::4] = np.eye(q)[0]  # log p holds _LOG_ZERO in these rows
+    ps[2::4] = np.eye(q)[q - 1]
+    return ps
+
+
+def _flat_sums(q, ell, m, order, log_p):
+    return _composition_sums(composition_table(q, m), log_p, _top_ell_table(q, ell, m, order))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("triple", [(8, 2, 10), (6, 3, 12), (10, 3, 10)], ids=str)
+def test_head_tail_sums_match_flat_and_exact(triple, order):
+    q, ell, L = triple
+    m = L - order
+    ps = _one_hot_rows(np.random.default_rng(5), 6, q)
+    log_p = _log_probs(ps)
+    assert (log_p == _LOG_ZERO).any()
+    got = _head_tail_sums(_head_tail_layout(q, ell, m, order), log_p)
+    assert got.shape == (6, q**order)
+    np.testing.assert_allclose(got, _flat_sums(q, ell, m, order, log_p), rtol=5e-14, atol=0.0)
+    for row in (1, 0):  # a point inside the simplex, and the vertex e_0
+        want = ref_composition_sums(q, ell, m, order, ps[row])
+        err = max(abs(Fraction(float(x)) - w) / w for x, w in zip(got[row], want))
+        assert err <= 4e-15, (row, float(err))
+
+
+def test_head_tail_rule_on_each_side():
+    # (8, 9): 11,440 compositions, 715 heads and 715 tails; 10 blocks
+    saved = 11_440 - 2 * 715
+    assert 19 * saved < 20_000 * 10 < 20 * saved
+    assert not _takes_head_tail(8, 9, 19) and _takes_head_tail(8, 9, 20)
+    assert not _takes_head_tail(8, 9, 1)  # single-row f, f_gradient, f_hessian stay flat
+    for q in (2, 3):  # the split saves nothing
+        assert not any(_takes_head_tail(q, m, 10**6) for m in range(0, 300, 7))
+    rng = np.random.default_rng(2)
+    for triple, split in (((8, 2, 10), True), ((6, 3, 12), True), ((5, 2, 8), False),
+                          ((3, 2, 3), False)):
+        q, ell, L = triple
+        ps = _one_hot_rows(rng, 200, q)
+        assert _takes_head_tail(q, L - 1, len(ps)) is split
+        if split:
+            sums = _head_tail_sums(_head_tail_layout(q, ell, L - 1, 1), _log_probs(ps))
+        else:
+            sums = _flat_sums(q, ell, L - 1, 1, _log_probs(ps))
+        assert np.array_equal(_f_derivatives(Params(*triple), ps, 1), L * sums), triple
+
+
+@pytest.mark.parametrize("triple, order", [((8, 2, 10), 1), ((6, 3, 12), 2)], ids=str)
+def test_head_tail_sums_match_one_shot_at_chunk_edges(triple, order):
+    q, ell, L = triple
+    m = L - order
+    layout = _head_tail_layout(q, ell, m, order)
+    width = layout.head.shape[1] + layout.tail.shape[1]
+    step = _BLOCK // (width + max(block.values.shape[1] for block in layout.blocks))
+    assert 1 < step < 200
+    tbl, top = composition_table(q, m), _top_ell_table(q, ell, m, order)
+    rng = np.random.default_rng(13)
+    for n in (0, 1, step - 1, step, step + 1):
+        log_p = _log_probs(_one_hot_rows(rng, n, q))
+        want = np.exp(tbl.log_multinomials + log_p @ tbl.counts.T.astype(float)) @ top
+        got = _head_tail_sums(layout, log_p)
+        assert got.shape == want.shape == (n, q**order)
+        np.testing.assert_allclose(got, want, rtol=5e-14, atol=0.0, err_msg=f"n={n}")
+
+
+def test_schur_certificate_leaves_the_whole_table_unbuilt():
+    # in a fresh process: certify_schur at (8,2,10) builds neither A_{8,9} nor its top table
+    code = (
+        "from lrbounds import Params, certify_schur\n"
+        "from lrbounds.compositions import _top_ell_table, composition_table\n"
+        "assert certify_schur(Params(8, 2, 10)).passed\n"
+        "misses = composition_table.cache_info().misses\n"
+        "composition_table(8, 9)\n"
+        "print(composition_table.cache_info().misses - misses, _top_ell_table.cache_info().currsize)\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "0"]
 
 
 @pytest.mark.parametrize("triple", POOL_TRIPLES, ids=str)

@@ -256,6 +256,15 @@ def test_certify_pass_and_exit_codes():
         assert kv["monotonicity"] == "PASS"
 
 
+@pytest.mark.parametrize("q, ell, L", [(16, 8, 12), (20, 10, 15)])
+def test_certify_over_the_table_budget_exits_4(q, ell, L):
+    # A_{16,11} alone has 7.7e6 rows; the check comes before any enumeration
+    res = run_cli("certify", "--q", str(q), "--ell", str(ell), "--L", str(L), timeout=30)
+    assert res.returncode == 4
+    assert res.stdout == b""
+    assert b"budget" in res.stderr
+
+
 def test_certify_deterministic():
     args = ("certify", "--q", "8", "--ell", "2", "--L", "10")
     first, second = run_cli(*args), run_cli(*args)

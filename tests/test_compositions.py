@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from lrbounds import (
     max_ell_partial_sum,
     multinomial,
 )
-from lrbounds.compositions import _top_ell_plus_unit, _top_ell_table
+from lrbounds.compositions import (_TABLE_BUDGET, _check_budget, _head_tail_layout,
+                                   _top_ell_plus_unit, _top_ell_table)
+from lrbounds.exact import BudgetExceededError
 
 from reference import ref_compositions, ref_multinomial, ref_top_ell
 
@@ -179,3 +182,33 @@ def test_table_multinomials_sum_property(q, m):
     top = float(logs.max())
     total = top + math.log(math.fsum(np.exp(logs - top)))
     assert math.isclose(total, m * math.log(q), rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_top_ell_plus_unit_favours_the_larger_count():
+    # the lemma behind the Schur certificate: a_i > a_j gives
+    # top_ell(a + e_i) >= top_ell(a + e_j), and a_i = a_j gives equality
+    for q in range(2, 9):
+        for m in range(10):  # L = m + 1 <= 10
+            counts = composition_table(q, m).counts
+            larger = counts[:, :, np.newaxis] > counts[:, np.newaxis, :]
+            equal = counts[:, :, np.newaxis] == counts[:, np.newaxis, :]
+            for ell in range(1, q):
+                top = _top_ell_table.__wrapped__(q, ell, m, 1)  # uncached: 7 x 24,310 rows at q = 8
+                d = top[:, :, np.newaxis] - top[:, np.newaxis, :]
+                assert (d[larger] >= 0).all() and (d[equal] == 0).all(), (q, ell, m)
+
+
+def test_tables_over_the_budget_raise_before_they_are_built():
+    t0 = time.perf_counter()
+    for build in (lambda: composition_table(16, 11),  # 7.7e6 rows x 16 columns
+                  lambda: _top_ell_table(8, 2, 40, 2),
+                  lambda: _head_tail_layout(16, 8, 11, 1),
+                  lambda: _head_tail_layout(20, 10, 14, 1)):
+        with pytest.raises(BudgetExceededError, match="budget"):
+            build()
+    assert time.perf_counter() - t0 < 1.0
+    _check_budget(2, _TABLE_BUDGET - 1, 1)  # (m + 1) rows x 1 column: at the budget
+    with pytest.raises(BudgetExceededError):
+        _check_budget(2, _TABLE_BUDGET, 1)
+    # the largest table a pinned set or the benchmark builds, A_{3,299}, is far below it
+    assert 50 * math.comb(301, 2) * 3 < _TABLE_BUDGET
