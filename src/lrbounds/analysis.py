@@ -16,13 +16,13 @@ correctly rounded, and g, g', g'', p_star_w and the Lipschitz constant all
 read those floats.
 
 Every sum of the form sum_a C(m,a) p^a v_a goes through one log-domain
-kernel, _composition_sums, with the logs of exact multinomials from the
-cached composition tables: f, its gradient and Hessian at any P, and the
-Bernstein basis of g as the q = 2 case.  Many rows of f's derivatives over
-a large A_{q,m} (the Schur certificate's samples) take _head_tail_sums
-instead: a = (b, c) splits into the first q // 2 counts and the rest, so
+kernel, _composition_sums (rows [log p, 1] times a cached table's exponents,
+which end in the log exact multinomials): f, its gradient and Hessian at
+any P, and the Bernstein basis of g as the q = 2 case.  Many rows of f's
+derivatives over a large A_{q,m} (the Schur certificate's samples) take
+_head_tail_sums instead: a = (b, c) splits into head and tail counts, so
 C(m,a) p^a factors into a head term times a tail term and the exponentials
-run over the two half-alphabet tables, not over A_{q,m}.  _takes_head_tail
+run over the two half-alphabet tables, not over A_{q,m}; _takes_head_tail
 picks the kernel from the input's size alone.  The numerical certificates
 (Schur, convexity, monotonicity) evaluate these closed forms on grids or
 sampled distributions.
@@ -37,8 +37,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .compositions import (CompositionTable, _HeadTailLayout, _head_tail_layout, _top_ell_plus_unit,
-                           _top_ell_table, composition_table)
+from .compositions import (CompositionTable, _HeadTailLayout, _head_tail_layout, _takes_head_tail,
+                           _top_ell_plus_unit, _top_ell_table, composition_table)
 from .exact import _slice_numerators
 from .params import Params, _at_least, _finite_nonnegative, _list_shape, _unit, _whole
 
@@ -142,25 +142,23 @@ _LOG_ZERO = -1e300  # stands in for log 0: a * _LOG_ZERO sends p^a to 0 for a >=
 
 
 def _composition_sums(tbl: CompositionTable, log_p: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_a C(m,a) p^a values_a over the table's A_{q,m}, for every row of log p.
+    """sum_a C(m,a) p^a values_a over the table's A_{q,m}, for every row [log p, 1] of log_p.
 
-    Each term is exp(log C(m,a) + a . log p), so neither C(m,a) nor p^a
-    overflows or underflows for m in the thousands.  Rows go in chunks of at
-    most _BLOCK terms (one row if it has more), so no (rows, |A_{q,m}|)
-    array is built at once; every chunk forms, adds and exponentiates its
-    terms in place in one buffer allocated per call.
+    Each term is exp([log p, 1] . [a, log C(m,a)]), a column of the table's
+    exponents, so neither C(m,a) nor p^a overflows or underflows for m in the
+    thousands.  Rows go in chunks of at most _BLOCK terms (one row if it has
+    more), so no (rows, |A_{q,m}|) array is built at once; every chunk forms
+    and exponentiates its terms in place in one buffer allocated per call.
     """
     n, step = len(log_p), max(1, _BLOCK // len(values))
     if n <= step:  # one chunk: the first product is the buffer
         terms = log_p @ tbl.exponents
-        terms += tbl.log_multinomials
         return np.exp(terms, out=terms) @ values
     out = np.empty((n,) + values.shape[1:], dtype=np.float64)
     buf = np.empty((step, len(values)), dtype=np.float64)
     for i in range(0, n, step):
         terms = buf[: min(step, n - i)]
         np.matmul(log_p[i : i + step], tbl.exponents, out=terms)
-        terms += tbl.log_multinomials
         np.exp(terms, out=terms)
         np.matmul(terms, values, out=out[i : i + step])
     return out
@@ -181,13 +179,12 @@ def _head_tail_sums(layout: _HeadTailLayout, log_p: np.ndarray) -> np.ndarray:
     q1, cols = len(head) - 1, blocks[0].values.shape[1]  # block r = 0 has one tail, c = 0
     zwidth = max(block.values.shape[1] for block in blocks)
     n, step = len(log_p), max(1, _BLOCK // (head.shape[1] + tail.shape[1] + zwidth))
-    ext = np.insert(log_p, (q1, log_p.shape[1]), 1.0, axis=1)  # [log p_H, 1, log p_T, 1]
+    ext = np.insert(log_p, q1, 1.0, axis=1)  # [log p_H, 1, log p_T, 1]
     out = np.zeros((n, cols))
     xbuf, ybuf = np.empty((step, head.shape[1])), np.empty((step, tail.shape[1]))
     zbuf = np.empty(step * zwidth)
     for i in range(0, n, step):
-        rows = slice(i, i + step)
-        k = min(step, n - i)
+        rows, k = slice(i, i + step), min(step, n - i)
         x = np.exp(np.matmul(ext[rows, : q1 + 1], head, out=xbuf[:k]), out=xbuf[:k])
         y = np.exp(np.matmul(ext[rows, q1 + 1 :], tail, out=ybuf[:k]), out=ybuf[:k])
         acc = out[rows]
@@ -201,23 +198,10 @@ def _head_tail_sums(layout: _HeadTailLayout, log_p: np.ndarray) -> np.ndarray:
 
 
 def _log_probs(ps: np.ndarray) -> np.ndarray:
-    return np.log(ps, out=np.full(ps.shape, _LOG_ZERO), where=ps > 0.0)
-
-
-_HEAD_TAIL_SAVING = 20_000  # exponentials the split must save per block it loops over
-
-
-def _takes_head_tail(q: int, m: int, rows: int) -> bool:
-    """Whether _head_tail_sums beats _composition_sums on rows rows over A_{q,m}.
-
-    The split saves rows * (|A_{q,m}| - |heads| - |tails|) exponentials and
-    pays a Python loop over m + 1 blocks per chunk of rows; measured on 2
-    cores, it wins once the saving passes about _HEAD_TAIL_SAVING per block.
-    For q <= 3 it saves nothing.
-    """
-    q1 = q // 2
-    saved = math.comb(m + q - 1, q - 1) - math.comb(m + q1, q1) - math.comb(m + q - q1, q - q1)
-    return rows * saved > _HEAD_TAIL_SAVING * (m + 1)
+    """[log p, 1] for every row p of ps, the rows the composition kernels read."""
+    log_p = np.full((len(ps), ps.shape[1] + 1), (_LOG_ZERO,) * ps.shape[1] + (1.0,))
+    np.log(ps, out=log_p[:, :-1], where=ps > 0.0)
+    return log_p
 
 
 def _f_derivatives(params: Params, ps: np.ndarray, order: int) -> np.ndarray:
@@ -232,8 +216,7 @@ def _f_derivatives(params: Params, ps: np.ndarray, order: int) -> np.ndarray:
     if _takes_head_tail(q, m, len(ps)):
         sums = _head_tail_sums(_head_tail_layout(q, ell, m, order), log_p)
     else:
-        top = _top_ell_table(q, ell, m, order)
-        sums = _composition_sums(composition_table(q, m), log_p, top)
+        sums = _composition_sums(composition_table(q, m), log_p, _top_ell_table(q, ell, m, order))
     return math.perm(params.L, order) * sums
 
 
@@ -278,11 +261,11 @@ def _slice_values(params: Params, order: int, ws: Sequence[float]) -> np.ndarray
     """g (order 0), g' (1) or g'' (2) at every w of ws.
 
     The Bernstein basis C(n,k) w^k (1-w)^(n-k) is the q = 2 composition sum:
-    row k of A_{2,n} is (n-k, k), so log p = (log(1-w), log w).
+    row k of A_{2,n} is (n-k, k), so the kernel reads [log(1-w), log w, 1].
     """
     coef = _slice_bernstein(params.q, params.ell, params.L, order)
     w = np.asarray(ws, dtype=np.float64)
-    log_p = np.full((len(w), 2), _LOG_ZERO)
+    log_p = np.full((len(w), 3), (_LOG_ZERO, _LOG_ZERO, 1.0))
     np.log1p(-w, out=log_p[:, 0], where=w < 1.0)
     np.log(w, out=log_p[:, 1], where=w > 0.0)
     return _composition_sums(composition_table(2, len(coef) - 1), log_p, coef)
@@ -298,7 +281,7 @@ def _slice_value(params: Params, order: int, w: float) -> float:
     w = float(w)  # as the grid's float64 array would: Fraction and float32 w too
     coef = _slice_bernstein(params.q, params.ell, params.L, order)
     log_p = np.array([[np.log1p(-w) if w < 1.0 else _LOG_ZERO,
-                       np.log(w) if w > 0.0 else _LOG_ZERO]])
+                       np.log(w) if w > 0.0 else _LOG_ZERO, 1.0]])
     return float(_composition_sums(composition_table(2, len(coef) - 1), log_p, coef)[0])
 
 

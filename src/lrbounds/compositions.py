@@ -6,11 +6,11 @@ derivatives; symmetric ones such as thresholds, tilted means and g's
 coefficients over sorted orbits only, which exact enumerates without numpy)
 runs over one of these index sets, so three things are pinned here: the
 order (lexicographic, first coordinate descending), exactness (multinomials
-and orbit sizes are Python ints; a cached table holds the logs of exact ints
-and knows nothing of ell) and the top_ell tables of a + e_(j_1) + ... +
-e_(j_k) for derivatives of order k, all built from one vectorized int
-kernel, either over A_{q,m} or over its head/tail split.  No table of more
-than _TABLE_BUDGET entries is enumerated: BudgetExceededError comes first.
+and orbit sizes are Python ints; a cached table's exponents end in the logs
+of exact ints, and it knows nothing of ell) and the top_ell tables of
+a + e_(j_1) + ... + e_(j_k) for derivatives of order k, all built from one
+vectorized int kernel, over A_{q,m} or over its head/tail split (whose rule
+is here too).  No table of more than _TABLE_BUDGET entries is enumerated.
 """
 
 from __future__ import annotations
@@ -148,16 +148,15 @@ def majorizes(a: Sequence[float], b: Sequence[float], tol: float = MAJORIZATION_
 class CompositionTable(NamedTuple):
     """Vectorized view of A_{q,m}.
 
-    counts are exact int64 entries, shape (K, q); exponents is their
-    transpose as a C-contiguous (q, K) float64 matrix, the layout the
-    product log p @ exponents reads; log_multinomials the logs of the exact
-    multinomials (finite for every m).  Arrays are read-only; tables are
-    cached per (q, m).
+    counts are exact int64 entries, shape (K, q).  exponents is a
+    C-contiguous (q + 1, K) float64 matrix: the transposed counts, then the
+    logs of the exact multinomials (finite for every m), so that
+    [log p, 1] @ exponents is log(C(m,a) p^a) for every a.  Arrays are
+    read-only; tables are cached per (q, m).
     """
 
     counts: np.ndarray
     exponents: np.ndarray
-    log_multinomials: np.ndarray
 
 
 def _top_ell_plus_unit(counts: np.ndarray, ell: int) -> np.ndarray:
@@ -188,6 +187,7 @@ def _top_ell_of(counts: np.ndarray, ell: int, order: int) -> np.ndarray:
 
 
 _TABLE_BUDGET = 10**7  # entries, rows x columns, that one table over A_{q,m} may hold
+_HEAD_TAIL_SAVING = 20_000  # exponentials the head/tail split must save per block it loops over
 
 
 def _check_budget(q: int, m: int, columns: int) -> None:
@@ -210,9 +210,8 @@ def composition_table(q: int, m: int) -> CompositionTable:
     _check_budget(q, m, q)
     rows = list(_tuples(q, m))
     counts = np.array([a for a, _ in rows], dtype=np.int64)
-    exponents = np.ascontiguousarray(counts.T, dtype=np.float64)
-    log_mults = np.array([math.log(n) for _, n in rows], dtype=np.float64)
-    return CompositionTable(*map(_read_only, (counts, exponents, log_mults)))
+    exponents = np.array([*counts.T, [math.log(n) for _, n in rows]], dtype=np.float64)
+    return CompositionTable(_read_only(counts), _read_only(exponents))
 
 
 @lru_cache(maxsize=None)
@@ -248,17 +247,33 @@ class _HeadTailLayout(NamedTuple):
 
     The heads are the rows (r, b) of composition_table(q1 + 1, m), which
     groups A_{q1,m-r} by the slack r, the tail total; its multinomial
-    m!/(r! prod b!) is C(m,r) C(m-r,b).  head is (q1 + 1, |heads|): the
-    counts b as exponent rows, then the log multinomials, so that
-    [log p_H, 1] @ head is the log of every head term.  The tails are the
-    rows (m-r, c) of composition_table(q2 + 1, m), multinomial C(m,r) C(r,c),
-    and tail is laid out alike.  Since C(m,a) = C(m,r) C(m-r,b) C(r,c), a
+    m!/(r! prod b!) is C(m,r) C(m-r,b).  head views its exponents past the
+    slack row, so [log p_H, 1] @ head is the log of every head term; tail
+    reads the rows (m-r, c) of composition_table(q2 + 1, m) alike, with
+    multinomial C(m,r) C(r,c).  Since C(m,a) = C(m,r) C(m-r,b) C(r,c), a
     block's values carry the one 1/C(m,r) the two multinomials have too many.
     """
 
     head: np.ndarray
     tail: np.ndarray
     blocks: tuple[_HeadTailBlock, ...]
+
+
+def _halves(q: int) -> tuple[int, int]:
+    """(q1, q2): the head takes the first q1 = q // 2 symbols, the tail the other q2."""
+    return q // 2, (q + 1) // 2
+
+
+def _takes_head_tail(q: int, m: int, rows: int) -> bool:
+    """Whether the head/tail split beats the whole table for rows rows over A_{q,m}.
+
+    The split saves rows * (|A_{q,m}| - |heads| - |tails|) exponentials and
+    pays a Python loop over m + 1 blocks per chunk of rows; measured on 2
+    cores, it wins once the saving passes about _HEAD_TAIL_SAVING per block.
+    For q <= 3 it saves nothing.
+    """
+    saved = math.comb(m + q - 1, q - 1) - sum(math.comb(m + h, h) for h in _halves(q))
+    return rows * saved > _HEAD_TAIL_SAVING * (m + 1)
 
 
 def _rows_summing_to(parts: int, total: int) -> slice:
@@ -278,11 +293,11 @@ def _head_tail_layout(q: int, ell: int, m: int, order: int) -> _HeadTailLayout:
     stand in for it: A_{q,m} itself is never enumerated.
     """
     _check_budget(q, m, q**order)
-    q1 = q // 2
-    head, tail = composition_table(q1 + 1, m), composition_table(q - q1 + 1, m)
+    q1, q2 = _halves(q)
+    head, tail = composition_table(q1 + 1, m), composition_table(q2 + 1, m)
     blocks = []
     for r in range(m + 1):
-        hs, ts = _rows_summing_to(q1, m - r), _rows_summing_to(q - q1, r)
+        hs, ts = _rows_summing_to(q1, m - r), _rows_summing_to(q2, r)
         b, c = head.counts[hs, 1:], tail.counts[ts, 1:]
         shape = (len(b), len(c))
         counts = np.concatenate((np.broadcast_to(b[:, np.newaxis], shape + b.shape[1:]),
@@ -293,5 +308,4 @@ def _head_tail_layout(q: int, ell: int, m: int, order: int) -> _HeadTailLayout:
             values = values.transpose(1, 0, 2)
         values = np.ascontiguousarray(values).reshape(len(values), -1)
         blocks.append(_HeadTailBlock(hs, ts, head_major, _read_only(values)))
-    head, tail = (_read_only(np.vstack((t.exponents[1:], t.log_multinomials))) for t in (head, tail))
-    return _HeadTailLayout(head, tail, tuple(blocks))
+    return _HeadTailLayout(head.exponents[1:], tail.exponents[1:], tuple(blocks))

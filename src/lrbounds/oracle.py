@@ -177,8 +177,8 @@ def random_expurgated_code(
     """Sample ceil(q^(n*rate)) words and expurgate bad L-subsets.
 
     Raises BudgetExceededError before sampling when q^(n*rate) exceeds
-    POINT_BUDGET words, and before any subset is scanned when the
-    C(distinct_size, L) L-subsets of the distinct words do.
+    POINT_BUDGET words, and once the C(distinct, L) L-subsets of the words
+    drawn so far do: draws go in doubling chunks of the one seeded stream.
 
     A subset is bad when its average lr-radius is <= n*p.  One pass over
     the L-subsets in combinations order skips those holding a removed word
@@ -200,10 +200,13 @@ def random_expurgated_code(
             f"{q}^({n}*{target_rate}) words exceed the budget of {POINT_BUDGET}"
         )
     target_size = math.ceil(float(q) ** (n * target_rate))
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(1, q + 1, size=(target_size, n))
-    words = list(dict.fromkeys(tuple(int(s) for s in row) for row in draws))
-    distinct_size = len(words)
+    rng, seen, drawn = np.random.default_rng(seed), {}, 0
+    while drawn < target_size and math.comb(len(seen), L) <= POINT_BUDGET:
+        rows = min(max(drawn, 1), target_size - drawn)
+        draws = rng.integers(1, q + 1, size=(rows, n))
+        seen.update(dict.fromkeys(map(tuple, map(np.ndarray.tolist, draws))))  # one row at a time
+        drawn += rows
+    words, distinct_size = list(seen), len(seen)
     if math.comb(distinct_size, L) > POINT_BUDGET:
         raise BudgetExceededError(
             f"C({distinct_size},{L}) subsets exceed the budget of {POINT_BUDGET}"

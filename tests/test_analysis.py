@@ -29,10 +29,10 @@ from lrbounds import (
 )
 
 from lrbounds.analysis import (_BLOCK, _LOG_ZERO, _composition_sums, _f_derivatives,
-                               _head_tail_sums, _log_probs, _slice_bernstein, _slice_values,
-                               _takes_head_tail)
+                               _head_tail_sums, _log_probs, _slice_bernstein, _slice_values)
 from lrbounds.exact import _binomial_row, _slice_numerators, _tail_mass_coefficients
-from lrbounds.compositions import _head_tail_layout, _top_ell_table, composition_table
+from lrbounds.compositions import (_head_tail_layout, _takes_head_tail, _top_ell_table,
+                                   composition_table)
 
 from reference import (
     POOL_TRIPLES,
@@ -464,7 +464,7 @@ def test_composition_sums_match_one_shot_at_chunk_edges(q, m, step):
         ps[2::4] = one_hot[q - 1]
         log_p = _log_probs(ps)
         for values in (rng.random(K), rng.random((K, 3))):
-            want = np.exp(tbl.log_multinomials + log_p @ tbl.counts.T.astype(float)) @ values
+            want = np.exp(tbl.exponents[-1] + log_p[:, :-1] @ tbl.counts.T.astype(float)) @ values
             got = _composition_sums(tbl, log_p, values)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=f"n={n}")
@@ -483,6 +483,20 @@ def test_composition_sums_hold_one_chunk_buffer(run):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * _BLOCK
+
+
+def test_composition_sums_hold_only_the_terms():
+    # 10 rows over A_{5,7}, 330 terms each: one 26,400-byte array, with no ufunc buffer beside it
+    tbl = composition_table(5, 7)
+    log_p, values = _log_probs(np.full((10, 5), 0.2)), np.ones(len(tbl.counts))
+    _composition_sums(tbl, log_p, values)
+    tracemalloc.start()
+    try:
+        _composition_sums(tbl, log_p, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * 10 * 330
 
 
 # --- the head/tail split of the composition sums -----------------------------
@@ -551,7 +565,7 @@ def test_head_tail_sums_match_one_shot_at_chunk_edges(triple, order):
     rng = np.random.default_rng(13)
     for n in (0, 1, step - 1, step, step + 1):
         log_p = _log_probs(_one_hot_rows(rng, n, q))
-        want = np.exp(tbl.log_multinomials + log_p @ tbl.counts.T.astype(float)) @ top
+        want = np.exp(tbl.exponents[-1] + log_p[:, :-1] @ tbl.counts.T.astype(float)) @ top
         got = _head_tail_sums(layout, log_p)
         assert got.shape == want.shape == (n, q**order)
         np.testing.assert_allclose(got, want, rtol=5e-14, atol=0.0, err_msg=f"n={n}")

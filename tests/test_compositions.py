@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lrbounds import (
     Composition,
+    CompositionTable,
     composition_table,
     enumerate_compositions,
     majorizes,
@@ -155,16 +156,20 @@ def test_composition_table_contents():
         assert [tuple(row) for row in tab.counts] == [c.entries for c in comps]
         assert tab.counts.sum(axis=1).tolist() == [m] * len(comps)
         for k, c in enumerate(comps):
-            assert tab.log_multinomials[k] == math.log(multinomial(m, c))
-        assert (tab.exponents == tab.counts.T).all()
+            assert tab.exponents[q, k] == math.log(multinomial(m, c))
+        assert tab.exponents.shape == (q + 1, len(comps))
+        assert (tab.exponents[:q] == tab.counts.T).all()
         assert tab.exponents.flags.c_contiguous
 
 
 def test_composition_table_read_only_and_cached():
     tab = composition_table(3, 3)
     assert tab is composition_table(3, 3)
+    assert CompositionTable._fields == ("counts", "exponents")
     with pytest.raises(ValueError):
         tab.counts[0, 0] = 5
+    with pytest.raises(ValueError):
+        tab.exponents[0, 0] = 5.0
     for order in range(3):
         top = _top_ell_table(3, 2, 3, order)
         assert top is _top_ell_table(3, 2, 3, order)
@@ -173,12 +178,21 @@ def test_composition_table_read_only_and_cached():
             top[0, 0] = 5.0
 
 
+def test_head_tail_layout_reads_the_cached_tables_in_place():
+    # q = 8 splits into heads and tails of 4 symbols, both rows of A_{5,9} after its slack
+    layout, tab = _head_tail_layout(8, 2, 9, 1), composition_table(5, 9)
+    for side in (layout.head, layout.tail):
+        assert np.shares_memory(side, tab.exponents)
+        assert side.shape == (5, len(tab.counts)) and side.flags.c_contiguous
+        assert not side.flags.writeable
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6))
 @example(2, 1100)  # C(1100, 550) is about 1e330, beyond float
 def test_table_multinomials_sum_property(q, m):
     # sum over A_{q,m} of multinomials is q^m, checked as a logsumexp
-    logs = composition_table(q, m).log_multinomials
+    logs = composition_table(q, m).exponents[q]
     top = float(logs.max())
     total = top + math.log(math.fsum(np.exp(logs - top)))
     assert math.isclose(total, m * math.log(q), rel_tol=1e-12, abs_tol=0.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -415,3 +416,11 @@ def test_expurgation_budget_is_checked_before_the_subset_scan(monkeypatch):
     # 2^10 draws keep about 650 distinct words: C(650, 3) ~ 4.6e7 subsets
     with pytest.raises(BudgetExceededError, match="subsets exceed the budget"):
         random_expurgated_code(Params(2, 1, 3), 0.1, 10, 1.0, seed=1)
+
+
+def test_expurgation_stops_drawing_once_the_subsets_pass_the_budget():
+    # 2^18 words asked for, nearly all distinct; C(4473, 2) subsets already pass 10^7
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="subsets exceed the budget"):
+        random_expurgated_code(Params(2, 1, 2), 0.1, 40, 0.45, seed=1)
+    assert time.perf_counter() - start < 1.0
